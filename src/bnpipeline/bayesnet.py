@@ -1,14 +1,19 @@
-"""Directed acyclic graphs, Dirichlet-categorical fitting, and exact queries.
+"""Directed acyclic graphs, Dirichlet-categorical fitting, and queries.
 
-Inference is exact enumeration over the states of the unobserved variables,
-vectorized as a product of broadcast CPT factors. Networks at the scale this
-package targets (around ten nodes, five to ten states each) stay well inside
-the default enumeration cap.
+Queries run by variable elimination (Koller & Friedman 2009, ch. 9). One
+routine, eliminate, gathers each CPT factor along the observed values of a
+batch of records and sums out the unobserved variables with np.einsum along
+an np.einsum_path order. It serves exact queries at the posterior mean,
+Monte-Carlo queries over stacks of parameter draws, and the sensitivity
+report. The full joint is never built: the cap bounds the cost of one
+record's contraction, which the network's structure determines, and one
+contraction labels at most 50 unobserved variables.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -16,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import DataError, Dataset, Schema
-from .infotheory import entropy
+from .infotheory import mutual_information
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -270,109 +275,152 @@ def fit_conjugate(dag: Dag, data: Dataset, alpha0: float = 1.0) -> FittedNetwork
 
 
 # ---------------------------------------------------------------------------
-# exact queries by enumeration
+# exact and Monte-Carlo queries by variable elimination
 # ---------------------------------------------------------------------------
 
-def _enumerate_unobserved(
-    network: FittedNetwork, evidence: Mapping[str, int], max_states: int
-) -> tuple[np.ndarray, list[str]]:
-    """Unnormalized joint over the unobserved variables' state grid.
+# np.einsum takes 52 labels; 0 is the draw axis and 1 the record axis
+_MAX_FREE_VARIABLES = 50
+# cells of the gathered factors plus the largest contraction step, per block of
+# records, so that Monte-Carlo stacks of thousands of draws stay small
+_BLOCK_CELLS = 1 << 21
 
-    Factors whose whole family is observed are constants that cancel in any
-    later normalization and are skipped.
+
+def missing_groups(observed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(pattern, row indices) for each distinct row of a records x variables
+    boolean mask of which variables each record observes."""
+    patterns, inverse = np.unique(observed, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    return [(pattern, np.flatnonzero(inverse == g)) for g, pattern in enumerate(patterns)]
+
+
+def _elimination_path(
+    subscripts: list[list[int]], cards: Mapping[int, int], output: list[int], max_states: int
+) -> tuple[list, int]:
+    """np.einsum_path order for factors over variable labels, and its largest
+    step. A step's size is the product of the cardinalities it touches; the
+    path's cost, the sum of its step sizes, may not exceed max_states."""
+    operands: list = []
+    for sub in subscripts:
+        operands += [np.broadcast_to(0.0, [cards[v] for v in sub]), sub]
+    path, _ = np.einsum_path(*operands, output, optimize="greedy")
+    live = [set(sub) for sub in subscripts]
+    cost = width = 0
+    for step in path[1:]:
+        touched = set().union(*(live.pop(i) for i in sorted(step, reverse=True)))
+        size = math.prod(cards[v] for v in touched)
+        cost += size
+        width = max(width, size)
+        live.append(touched & set(output).union(*live))
+    if cost > max_states:
+        raise EnumerationTooLarge(f"elimination cost {cost} per record exceeds cap {max_states}")
+    return path, width
+
+
+def eliminate(
+    network: FittedNetwork,
+    params: Mapping[str, np.ndarray],
+    records: np.ndarray,
+    query: Sequence[str],
+    max_states: int = DEFAULT_ENUMERATION_CAP,
+) -> np.ndarray:
+    """Unnormalized joint mass of each record's evidence with every query
+    state, averaged over draws: shape (records, *query cardinalities).
+
+    params maps each node to a (draws, configs, states) CPT stack; exact
+    queries pass one draw, the posterior mean. records holds state indices
+    in schema column order, -1 where unobserved; query columns are ignored.
+    Records are grouped by which variables they leave unobserved. Fully
+    observed families are skipped: they cancel under normalization and
+    factor out of the draw average. The rest are gathered along the observed
+    columns and the unobserved variables summed out with np.einsum along an
+    np.einsum_path order, never building the full joint.
     """
     schema = network.schema
-    for var, state in evidence.items():
-        if not 0 <= state < schema.cardinality(var):
-            raise ValueError(f"evidence state {state} out of range for {var!r}")
-    order = [n for n in schema.names if n in network.dag.nodes and n not in evidence]
-    total = 1
-    for n in order:
-        total *= schema.cardinality(n)
-        if total > max_states:
+    nodes = network.dag.nodes
+    card = {n: schema.cardinality(n) for n in nodes}
+    records = np.asarray(records, dtype=np.int64)
+    observed = records[:, [schema.index(n) for n in nodes]] >= 0
+    observed[:, [nodes.index(q) for q in query]] = False
+    n_draws = len(next(iter(params.values())))
+    # (configs * states, draws): a gather then copies whole rows of draws
+    flat = {n: np.ascontiguousarray(stack.reshape(n_draws, -1).T) for n, stack in params.items()}
+    out = np.empty((len(records),) + tuple(card[q] for q in query))
+    for pattern, rows in missing_groups(observed):
+        free = [n for n, seen in zip(nodes, pattern) if not seen]
+        if len(free) > _MAX_FREE_VARIABLES:
             raise EnumerationTooLarge(
-                f"enumeration over {len(order)} unobserved variables exceeds cap {max_states}"
+                f"{len(free)} unobserved variables, over the {_MAX_FREE_VARIABLES} np.einsum can label"
             )
-    axis_of = {n: i for i, n in enumerate(order)}
-    grid_shape = tuple(schema.cardinality(n) for n in order)
-
-    joint = np.ones(grid_shape if grid_shape else (1,), dtype=float)
-    for node in network.dag.nodes:
-        cpt = network.cpts[node]
-        scope = cpt.parent_order + (node,)
-        if not any(v in axis_of for v in scope):
-            continue
-        table = cpt.posterior_mean.reshape(
-            tuple(schema.cardinality(p) for p in cpt.parent_order) + (schema.cardinality(node),)
+        label = {n: i + 2 for i, n in enumerate(free)}
+        output = [label[q] for q in query]
+        factors = []  # (flat parameter stack, free-state offsets, observed strides, labels)
+        for node in nodes:
+            scope = network.cpts[node].parent_order + (node,)
+            if not any(v in label for v in scope):
+                continue
+            strides = dict(zip(scope, [s * card[node] for s in _config_strides(schema, scope[:-1])] + [1]))
+            hidden = [v for v in scope if v in label]
+            grid = np.indices([card[v] for v in hidden])
+            offsets = np.tensordot([strides[v] for v in hidden], grid, axes=1)
+            fixed = {schema.index(v): strides[v] for v in scope if v not in label}
+            factors.append((flat[node], offsets, fixed, [label[v] for v in hidden]))
+        path, width = _elimination_path(
+            [sub for *_, sub in factors], {label[n]: card[n] for n in free}, output, max_states
         )
-        index: list = []
-        free_vars = []
-        for v in scope:
-            if v in evidence:
-                index.append(int(evidence[v]))
-            else:
-                index.append(slice(None))
-                free_vars.append(v)
-        factor = table[tuple(index)]
-        # lay the factor out on the enumeration grid by axis, size-1 elsewhere
-        axes = [axis_of[v] for v in free_vars]
-        factor = np.transpose(factor, np.argsort(axes))
-        shape = [1] * len(order)
-        for a in sorted(axes):
-            shape[a] = grid_shape[a]
-        joint = joint * factor.reshape(shape if order else (1,))
-    return joint, order
+        cells = width + sum(offsets.size for _, offsets, _, _ in factors)
+        step = max(1, _BLOCK_CELLS // (n_draws * cells))
+        for start in range(0, len(rows), step):
+            block = records[rows[start : start + step]]
+            operands: list = []
+            for table, offsets, fixed, sub in factors:
+                # a family with no observed variable gets a record axis of size 1
+                base = sum(block[:, col] * stride for col, stride in fixed.items())
+                operands += [table[np.reshape(base, (-1,) + (1,) * offsets.ndim) + offsets], [1] + sub + [0]]
+            out[rows[start : start + step]] = np.einsum(*operands, [1] + output, optimize=path) / n_draws
+    return out
 
 
 def joint_marginal(
     network: FittedNetwork,
-    evidence: Mapping[str, int],
+    evidence: Mapping[str, int | np.ndarray],
     query: Sequence[str],
     max_states: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Exact p(query | evidence) at posterior-mean parameters.
 
     Returns an array with one axis per query variable (schema state order).
-    Evidence values are state indices; a query variable that is itself
-    observed comes back as a point mass.
+    Evidence values are state indices: one int per variable, or equal-length
+    int arrays with one entry per record, in which case the result gains a
+    leading record axis. A query variable that is itself observed comes
+    back as a point mass.
     """
     schema = network.schema
-    joint, order = _enumerate_unobserved(network, evidence, max_states)
-    axis_of = {n: i for i, n in enumerate(order)}
-    keep = []
     for qv in query:
-        if qv in evidence:
-            continue
-        if qv not in axis_of:
+        if qv not in network.dag.nodes:
             raise GraphError(f"unknown query variable {qv!r}")
-        keep.append(axis_of[qv])
-    drop = tuple(a for a in range(len(order)) if a not in keep)
-    marg = joint.sum(axis=drop) if drop else joint
-    # reorder axes to match the requested query order, expanding evidence
-    # variables to one-hot axes so the result always covers every query var
-    out = marg
-    current = [order[a] for a in sorted(keep)]
-    if current:
-        out = np.transpose(out, [current.index(qv) for qv in query if qv in current])
-    full = np.zeros(tuple(schema.cardinality(qv) for qv in query))
-    idx = []
-    expand_shape = []
-    for qv in query:
-        if qv in evidence:
-            idx.append(int(evidence[qv]))
-        else:
-            idx.append(slice(None))
-            expand_shape.append(schema.cardinality(qv))
-    full[tuple(idx)] = out.reshape(tuple(expand_shape)) if expand_shape else float(out.sum())
-    total_mass = full.sum()
-    if total_mass <= 0:
+    states = {var: np.asarray(s, dtype=np.int64) for var, s in evidence.items()}
+    n = max((a.size for a in states.values() if a.ndim), default=1)
+    records = np.full((n, len(schema.names)), -1, dtype=np.int64)
+    for var, a in states.items():
+        if np.any((a < 0) | (a >= schema.cardinality(var))):
+            raise ValueError(f"evidence state {a} out of range for {var!r}")
+        records[:, schema.index(var)] = a
+    mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
+    mass = eliminate(network, mean, records, query, max_states)
+    for axis, qv in enumerate(query):
+        if qv in states:  # keep only each record's observed state
+            onehot = np.eye(schema.cardinality(qv))[records[:, schema.index(qv)]]
+            mass = mass * onehot.reshape([n] + [-1 if a == axis else 1 for a in range(len(query))])
+    total = mass.sum(axis=tuple(range(1, mass.ndim)), keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("evidence has zero probability under the model")
-    return full / total_mass
+    probs = mass / total
+    return probs if any(a.ndim for a in states.values()) else probs[0]
 
 
 def joint_query(
     network: FittedNetwork,
-    evidence: Mapping[str, int],
+    evidence: Mapping[str, int | np.ndarray],
     query: str,
     max_states: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
@@ -384,14 +432,11 @@ def sensitivity(
     network: FittedNetwork, target: str, predictor: str,
     max_states: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
-    """Entropy reduction H(T) - H(T|V) of the target under the fitted network joint."""
+    """Entropy reduction H(T) - H(T|V) of the target under the fitted network
+    joint: the mutual information of their pair marginal."""
     if target == predictor:
         raise ValueError("target and predictor must differ")
-    joint = joint_marginal(network, {}, (target, predictor), max_states=max_states)
-    ht = entropy(joint.sum(axis=1))
-    hv = entropy(joint.sum(axis=0))
-    htv = entropy(joint)
-    return ht + hv - htv
+    return mutual_information(joint_marginal(network, {}, (target, predictor), max_states=max_states))
 
 
 def sensitivity_report(
@@ -399,24 +444,17 @@ def sensitivity_report(
 ) -> list[tuple[str, float]]:
     """Per-predictor sensitivity scores sorted by decreasing score.
 
-    The network joint is enumerated once and reduced to each (target,
-    predictor) pair, rather than re-enumerating per predictor.
+    Scores are rounded to 12 decimals, so that scores equal up to rounding
+    noise (such as those of predictors d-separated from the target) tie
+    exactly and are listed in label order.
     """
-    joint, order = _enumerate_unobserved(network, {}, max_states)
-    joint = joint / joint.sum()
-    axis_of = {n: i for i, n in enumerate(order)}
-    if target not in axis_of:
+    if target not in network.dag.nodes:
         raise GraphError(f"unknown target {target!r}")
-    t_ax = axis_of[target]
-    ht = entropy(joint.sum(axis=tuple(a for a in range(len(order)) if a != t_ax)))
-    scores = []
-    for node in network.dag.nodes:
-        if node == target:
-            continue
-        v_ax = axis_of[node]
-        pair = joint.sum(axis=tuple(a for a in range(len(order)) if a not in (t_ax, v_ax)))
-        hv = entropy(pair.sum(axis=0 if t_ax < v_ax else 1))
-        scores.append((node, ht + hv - entropy(pair)))
+    scores = [
+        (node, round(sensitivity(network, target, node, max_states), 12))
+        for node in network.dag.nodes
+        if node != target
+    ]
     scores.sort(key=lambda kv: (-kv[1], kv[0]))
     return scores
 

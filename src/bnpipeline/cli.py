@@ -5,8 +5,8 @@ output directory and writes plain CSV/text artifacts, so every step of a
 run can be audited or rerun in isolation. All randomness flows from the
 configured seed; reruns are byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 convergence
-diagnostic failure.
+Exit codes: 0 success, 2 configuration error, 3 data error (including a query
+over the inference cost cap), 4 convergence diagnostic failure.
 """
 
 from __future__ import annotations
@@ -187,6 +187,11 @@ def cmd_compare(cfg: PipelineConfig) -> None:
         bench = structlearn.naive(data, data.schema.target)
         bayesnet.write_structure(bench.dag, out / "structures" / "naive.structure")
         candidates.append(bench)
+    if len(candidates) < 2:
+        raise ConfigError(
+            f"compare needs at least 2 candidate models, found {[c.label for c in candidates]}; "
+            "add [learn] learners or user_structures"
+        )
     ranking = modelselect.build_ranking(candidates, data, cfg.alpha0, cfg.bdeu_ess)
     modelselect.write_bf_table(ranking.pairwise, out / "bf_pairwise.csv")
     modelselect.write_bf_table(ranking.chain, out / "bf_chain.csv")
@@ -379,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, bayesnet.EnumerationTooLarge) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except DiagnosticFailure as exc:

@@ -85,20 +85,22 @@ class Schema:
         targets = [v.name for v in self.variables if v.role == "target"]
         if len(targets) != 1:
             raise SchemaError(f"schema must declare exactly one target, found {targets}")
+        object.__setattr__(self, "_names", tuple(names))
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return self._names
 
     @property
     def target(self) -> str:
         return next(v.name for v in self.variables if v.role == "target")
 
     def index(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise KeyError(f"unknown variable {name!r}")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"unknown variable {name!r}") from None
 
     def spec(self, name: str) -> VariableSpec:
         return self.variables[self.index(name)]

@@ -31,11 +31,15 @@ def entropy(counts) -> float:
 
 
 def mutual_information(joint) -> float:
-    """MI(X,Y) = H(X) + H(Y) - H(X,Y) from a 2-D count table."""
+    """MI(X,Y) = H(X) + H(Y) - H(X,Y) from a 2-D count table.
+
+    Rounding can leave independent variables a tiny negative difference;
+    the result is clamped at 0.
+    """
     t = np.asarray(joint, dtype=float)
     if t.ndim != 2:
         raise ValueError("expected a 2-D contingency table")
-    return entropy(t.sum(axis=1)) + entropy(t.sum(axis=0)) - entropy(t)
+    return max(0.0, entropy(t.sum(axis=1)) + entropy(t.sum(axis=0)) - entropy(t))
 
 
 def conditional_mutual_information(joint) -> float:
@@ -43,7 +47,8 @@ def conditional_mutual_information(joint) -> float:
 
     Tables with more than three axes condition on several variables at once:
     every axis after the first two is folded into one compound conditioning
-    variable over the Cartesian product of its states.
+    variable over the Cartesian product of its states. Clamped at 0 like
+    mutual_information.
     """
     t = np.asarray(joint, dtype=float)
     if t.ndim < 3:
@@ -54,7 +59,7 @@ def conditional_mutual_information(joint) -> float:
     hyz = entropy(t.sum(axis=0))
     hxyz = entropy(t)
     # each conditional entropy is H(.,Z) - H(Z)
-    return (hxz - hz) + (hyz - hz) - (hxyz - hz)
+    return max(0.0, (hxz - hz) + (hyz - hz) - (hxyz - hz))
 
 
 def normalized_mi(joint) -> float:

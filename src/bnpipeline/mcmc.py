@@ -4,6 +4,9 @@ With categorical nodes and Dirichlet priors the parameter posterior is an
 independent Dirichlet per CPT row, so the sampler draws exact independent
 samples per chain. Adaptation and burn-in are honored as configuration (the
 recorded trace starts after them) even though the draws need no warm-up.
+Predictive distributions come from bayesnet.eliminate (variable elimination),
+at the posterior mean in exact mode and over the stacked draws in Monte-Carlo
+mode.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import DEFAULT_ENUMERATION_CAP, EnumerationTooLarge, FittedNetwork, joint_query
+from .bayesnet import (
+    DEFAULT_ENUMERATION_CAP, FittedNetwork, eliminate, joint_query, missing_groups,
+)
 from .dataset import VariableSpec, numeric_state_values
 
 
@@ -149,59 +154,6 @@ def _validate_record(
             raise ValueError(f"unknown evidence state {state} for {var!r}")
 
 
-def _mcmc_record_probs(
-    network: FittedNetwork,
-    record: Mapping[str, int],
-    target: str,
-    tables: dict[str, np.ndarray],
-    max_states: int,
-) -> np.ndarray:
-    """Monte-Carlo posterior predictive: the per-draw joint mass of
-    (target state, evidence) is averaged over draws and normalized once,
-    which converges to the exact-mode conditional as draws grow.
-
-    Families whose scope is fully observed factor out of both the average
-    and the normalization (their draws are independent of the rest), so
-    only factors touching the target or another unobserved variable are
-    gathered.
-    """
-    schema = network.schema
-    dag = network.dag
-    r_t = schema.cardinality(target)
-    hidden = [n for n in schema.names if n in dag.nodes and n not in record and n != target]
-    n_assign = r_t
-    for h in hidden:
-        n_assign *= schema.cardinality(h)
-        if n_assign > max_states:
-            raise EnumerationTooLarge(
-                f"enumeration over hidden variables exceeds cap {max_states}"
-            )
-    unobserved = [target] + hidden
-    mesh = np.indices(tuple(schema.cardinality(v) for v in unobserved))
-    assign = {v: mesh[i].ravel() for i, v in enumerate(unobserved)}
-
-    n_draws = next(iter(tables.values())).shape[0]
-    prod = np.ones((n_draws, n_assign))
-    for node in dag.nodes:
-        cpt = network.cpts[node]
-        scope = cpt.parent_order + (node,)
-        if not any(v in assign for v in scope):
-            continue
-        q, r = cpt.posterior.shape
-        cfg = np.zeros(n_assign, dtype=np.int64)
-        stride = 1
-        for p in reversed(cpt.parent_order):
-            val = assign[p] if p in assign else record[p]
-            cfg = cfg + val * stride
-            stride *= schema.cardinality(p)
-        state = assign[node] if node in assign else np.full(n_assign, record[node])
-        flat_idx = cfg * r + state
-        prod *= tables[node].reshape(n_draws, q * r)[:, flat_idx]
-
-    joint_mass = prod.reshape(n_draws, r_t, -1).sum(axis=2).mean(axis=0)
-    return joint_mass / joint_mass.sum()
-
-
 def posterior_predict(
     network: FittedNetwork,
     evidence_records: Sequence[Mapping[str, int]],
@@ -213,23 +165,34 @@ def posterior_predict(
 ) -> list[PosteriorPredictive]:
     """Predictive target distribution for each evidence record.
 
-    mode="exact" evaluates the conditional at posterior-mean parameters by
-    enumeration; mode="mcmc" estimates the same quantity by Monte Carlo,
-    averaging per-draw joint mass over simulated parameter draws before
-    normalizing. Records may leave predictor variables unobserved, which are
-    then enumerated alongside the target.
+    mode="exact" evaluates the conditional at posterior-mean parameters,
+    with one joint_query per group of records that leave the same variables
+    unobserved. mode="mcmc" estimates the same quantity by Monte Carlo: the
+    per-draw joint mass of each (target state, evidence) is averaged over
+    simulated parameter draws and normalized once, which converges to the
+    exact conditional as draws grow. Records may leave predictor variables
+    unobserved; both modes sum them out by variable elimination.
     """
     if mode not in ("exact", "mcmc"):
         raise ValueError(f"unknown mode {mode!r}")
-    tgt = target if target is not None else network.schema.target
+    schema = network.schema
+    tgt = target if target is not None else schema.target
     if tgt not in network.dag.nodes:
         raise ValueError(f"target {tgt!r} is not a network node")
     if true_states is not None and len(true_states) != len(evidence_records):
         raise ValueError("true_states length must match evidence_records")
-    values = numeric_state_values(network.schema.spec(tgt))
+    values = numeric_state_values(schema.spec(tgt))
+    matrix = np.full((len(evidence_records), len(schema.names)), -1, dtype=np.int64)
+    for i, record in enumerate(evidence_records):
+        _validate_record(network, record, tgt)
+        matrix[i, [schema.index(v) for v in record]] = list(record.values())
 
-    tables: dict[str, np.ndarray] | None = None
-    if mode == "mcmc":
+    if mode == "exact":
+        probs = np.empty((len(matrix), schema.cardinality(tgt)))
+        for pattern, rows in missing_groups(matrix >= 0):
+            evidence = {n: matrix[rows, j] for j, n in enumerate(schema.names) if pattern[j]}
+            probs[rows] = joint_query(network, evidence, tgt, max_states=max_states)
+    else:
         if config is None:
             raise ValueError("mcmc mode needs an McmcConfig")
         # families never touching an unobserved variable cancel out of every
@@ -246,28 +209,20 @@ def posterior_predict(
             _draw_chain(network, needed, config, chain, stream=1)
             for chain in range(config.chains)
         ]
+        # pop, so that each node's per-chain arrays are freed once stacked
         tables = {
-            node: np.concatenate([c[node] for c in chunks], axis=0) for node in needed
+            node: np.concatenate([c.pop(node) for c in chunks], axis=0) for node in needed
         }
+        mass = eliminate(network, tables, matrix, (tgt,), max_states)
+        probs = mass / mass.sum(axis=1, keepdims=True)
 
-    results = []
-    for i, record in enumerate(evidence_records):
-        _validate_record(network, record, tgt)
-        if mode == "exact":
-            probs = joint_query(network, dict(record), tgt, max_states=max_states)
-        else:
-            probs = _mcmc_record_probs(network, record, tgt, tables, max_states)
-        mean, predicted = summarize_distribution(probs, values)
-        results.append(
-            PosteriorPredictive(
-                record_id=i,
-                probs=probs,
-                mean=mean,
-                predicted=predicted,
-                true_state=None if true_states is None else int(true_states[i]),
-            )
+    return [
+        PosteriorPredictive(
+            i, p, *summarize_distribution(p, values),
+            true_state=None if true_states is None else int(true_states[i]),
         )
-    return results
+        for i, p in enumerate(probs)
+    ]
 
 
 def write_predictions(

@@ -8,14 +8,18 @@ domain. A positive log Bayes factor favors the first model.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from scipy.special import gammaln
+import numpy as np
 
 from .bayesnet import Dag, family_counts
 from .dataset import Dataset
+
+# log-gamma over arrays without importing scipy, which would dominate start-up
+_gammaln = np.vectorize(math.lgamma, otypes=[float])
 
 
 def local_log_marginal_likelihood(
@@ -44,10 +48,10 @@ def local_log_marginal_likelihood(
     row = cell * r
     n_j = counts.sum(axis=1)
     score = (
-        q * gammaln(row)
-        - gammaln(n_j + row).sum()
-        + gammaln(counts + cell).sum()
-        - counts.size * gammaln(cell)
+        q * math.lgamma(row)
+        - _gammaln(n_j + row).sum()
+        + _gammaln(counts + cell).sum()
+        - counts.size * math.lgamma(cell)
     )
     return float(score)
 

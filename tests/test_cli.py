@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bnpipeline import bayesnet
 from bnpipeline.bayesnet import Dag, read_structure, write_structure
 from bnpipeline.cli import main
 from bnpipeline.config import ConfigError, dump_config, load_config, parse_config_text
@@ -302,3 +303,50 @@ class TestExitCodes:
         )
         (workspace / "mismatch.ini").write_text(cfg, encoding="utf-8")
         assert run("select", "--config", "mismatch.ini") == 2
+
+    def test_compare_with_a_single_candidate_is_2(self, workspace, capsys):
+        (workspace / "naive.ini").write_text(
+            CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
+            .replace("learners = hc, chowliu, tan, naive, bd", "learners = naive")
+            .replace("user_structures = truth=truth.structure", ""),
+            encoding="utf-8",
+        )
+        for cmd in ("select", "learn"):
+            assert run(cmd, "--config", "naive.ini") == 0
+        capsys.readouterr()
+        assert run("compare", "--config", "naive.ini") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_inference_over_the_cap_is_3(self, workspace, monkeypatch, capsys):
+        def too_large(*args, **kwargs):
+            raise bayesnet.EnumerationTooLarge("cost over the cap")
+
+        monkeypatch.setattr(bayesnet, "sensitivity_report", too_large)
+        assert run("select", "--config", "pipeline.ini") == 0
+        assert run("learn", "--config", "pipeline.ini") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: cost over the cap"]
+
+    def test_learn_on_twelve_five_state_variables(self, workspace):
+        names = [f"V{i:02d}" for i in range(12)]
+        states = ("1", "2", "3", "4", "5")
+        schema = Schema(tuple(
+            VariableSpec(n, states, "target" if i == 0 else "predictor") for i, n in enumerate(names)
+        ))
+        dag = Dag(schema.names, tuple(zip(names, names[1:])))
+        channel = np.full((5, 5), 0.05) + np.eye(5) * 0.75
+        tables = {n: channel for n in names[1:]}
+        tables[names[0]] = np.full((1, 5), 0.2)
+        write_csv(sample_dataset(dag, schema, tables, 500, seed=3), workspace / "wide.csv")
+        write_schema(schema, workspace / "wide.schema")
+        (workspace / "wide.ini").write_text(
+            CONFIG.format(min_mi=0.0, min_cmi=0.0, keep="", rhat="1.1")
+            .replace("tiny.csv", "wide.csv").replace("tiny.schema", "wide.schema")
+            .replace("learners = hc, chowliu, tan, naive, bd", "learners = chowliu, tan, naive")
+            .replace("user_structures = truth=truth.structure", ""),
+            encoding="utf-8",
+        )
+        assert run("learn", "--config", "wide.ini") == 0
+        reports = sorted(p.name for p in (workspace / "out").glob("sensitivity_*.csv"))
+        assert reports == ["sensitivity_chowliu.csv", "sensitivity_naive.csv", "sensitivity_tan.csv"]
