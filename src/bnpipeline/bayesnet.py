@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Schema
+from .dataset import DataError, Dataset, Schema, content_lines, contingency_table
 from .infotheory import mutual_information
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -123,31 +123,28 @@ def reverse_edge(dag: Dag, parent: str, child: str) -> Dag:
 # lines for isolated nodes, '#' comments.
 # ---------------------------------------------------------------------------
 
+def parse_edge(text: str, where: str) -> tuple[str, str]:
+    """(parent, child) of an `A -> B` edge; where ('file:line') names the
+    line in the DataError raised unless the text holds one arrow between two
+    names."""
+    parent, arrow, child = (s.strip() for s in text.partition("->"))
+    if not (arrow and parent and child) or "->" in child:
+        raise DataError(f"{where}: expected 'PARENT -> CHILD', got {text!r}")
+    return parent, child
+
+
 def read_structure(path: str | Path) -> Dag:
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
-
-    def note(name: str) -> None:
-        if name not in nodes:
-            nodes.append(name)
-
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
         if line.startswith("node "):
-            note(line[len("node ") :].strip())
-            continue
-        if "->" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'PARENT -> CHILD' or 'node NAME'")
-        parent, child = (s.strip() for s in line.split("->", 1))
-        if not parent or not child:
-            raise DataError(f"{path}:{lineno}: malformed edge line")
-        note(parent)
-        note(child)
-        edges.append((parent, child))
+            nodes.append(line[len("node ") :].strip())
+        else:
+            edge = parse_edge(line, f"{path}:{lineno}")
+            edges.append(edge)
+            nodes.extend(edge)
     try:
-        return Dag(tuple(sorted(nodes)), tuple(edges))
+        return Dag(tuple(sorted(set(nodes))), tuple(edges))
     except GraphError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -247,16 +244,7 @@ def cpt_parameter_count(network: FittedNetwork, node: str) -> int:
 
 def family_counts(data: Dataset, node: str, parents: Sequence[str]) -> np.ndarray:
     """Count table (parent configurations x node states) for one family."""
-    order = tuple(parents)
-    q = _config_count(data.schema, order)
-    r = data.schema.cardinality(node)
-    if not data.n_records:
-        return np.zeros((q, r), dtype=np.int64)
-    cfg = np.zeros(data.n_records, dtype=np.int64)
-    for p, stride in zip(order, _config_strides(data.schema, order)):
-        cfg += data.column(p) * stride
-    flat = np.bincount(cfg * r + data.column(node), minlength=q * r)
-    return flat.reshape(q, r)
+    return contingency_table(data, (*parents, node)).reshape(-1, data.schema.cardinality(node))
 
 
 def fit_conjugate(dag: Dag, data: Dataset, alpha0: float = 1.0) -> FittedNetwork:

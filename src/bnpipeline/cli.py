@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import bayesnet, evaluation, infotheory, mcmc, modelselect, structlearn
 from .config import ConfigError, PipelineConfig, load_config, write_effective_config
-from .dataset import DataError, Dataset, ingest_csv, make_split, read_schema, write_split_plan
+from .dataset import DataError, Dataset, content_lines, ingest_csv, make_split, read_schema, write_split_plan
 
 
 class DiagnosticFailure(Exception):
@@ -44,7 +44,7 @@ def _selected_data(cfg: PipelineConfig, data: Dataset) -> Dataset:
     marker = _out(cfg) / "selected_variables.txt"
     if not marker.is_file():
         return data
-    names = [ln.strip() for ln in marker.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    names = [line for _, line in content_lines(marker.read_text(encoding="utf-8"))]
     return data.select_variables(names)
 
 
@@ -214,7 +214,7 @@ def _cv_candidates(cfg: PipelineConfig, data: Dataset) -> list[structlearn.Candi
     stored = {c.label: c for c in _stored_candidates(cfg, data)}
     surviving = out / "surviving_models.txt"
     if surviving.is_file():
-        labels = [ln.strip() for ln in surviving.read_text(encoding="utf-8").splitlines() if ln.strip()]
+        labels = [line for _, line in content_lines(surviving.read_text(encoding="utf-8"))]
         unknown = [lbl for lbl in labels if lbl not in stored]
         if unknown:
             raise ConfigError(f"surviving models {unknown} have no stored structure; rerun learn/compare")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .dataset import content_lines
 from .mcmc import McmcConfig
 
 KNOWN_LEARNERS = ("hc", "chowliu", "tan", "naive", "bd")
@@ -178,10 +179,7 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
     section = None
     values: dict[str, object] = {}
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             continue

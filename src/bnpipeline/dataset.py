@@ -203,6 +203,17 @@ def numeric_state_values(spec: VariableSpec) -> np.ndarray:
         return np.arange(1, spec.cardinality + 1, dtype=float)
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line that is not blank once its
+    '#' comment is cut: the line reader of every text input format."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # schema files
 #
@@ -212,10 +223,7 @@ def numeric_state_values(spec: VariableSpec) -> np.ndarray:
 
 def read_schema(path: str | Path) -> Schema:
     specs = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
         if ":" not in line:
             raise SchemaError(f"{path}:{lineno}: expected 'name : states'")
         name, rest = line.split(":", 1)

@@ -2,8 +2,8 @@
 
 With categorical nodes and Dirichlet priors the parameter posterior is an
 independent Dirichlet per CPT row, so the sampler draws exact independent
-samples per chain. Adaptation and burn-in are honored as configuration (the
-recorded trace starts after them) even though the draws need no warm-up.
+samples per chain. Such draws need no warm-up and no thinning: each chain
+draws only the rows it keeps.
 Predictive distributions come from bayesnet.eliminate (variable elimination),
 at the posterior mean in exact mode and over the stacked draws in Monte-Carlo
 mode.
@@ -31,6 +31,12 @@ class ConstantChain(Exception):
 
 @dataclass(frozen=True)
 class McmcConfig:
+    """Sampling schedule: kept_per_chain exact draws in each of `chains` chains.
+
+    adapt_iters and burnin_iters are validated but ignored, since exact draws
+    need no warm-up; thin only divides sample_iters into the kept count.
+    """
+
     seed: int
     chains: int = 3
     adapt_iters: int = 1000
@@ -102,18 +108,14 @@ def _chain_rng(seed: int, chain: int, stream: int) -> np.random.Generator:
 def _draw_chain(
     network: FittedNetwork, nodes: Sequence[str], config: McmcConfig, chain: int, stream: int
 ) -> dict[str, np.ndarray]:
-    """Exact Dirichlet draws for each requested node, post burn-in and thinned."""
+    """kept_per_chain exact Dirichlet draws of every CPT row of each requested node."""
     rng = _chain_rng(config.seed, chain, stream)
-    skip = config.adapt_iters + config.burnin_iters
-    total = skip + config.sample_iters
-    keep = np.arange(skip, total, config.thin)
     out = {}
     for node in nodes:
         post = network.cpts[node].posterior
-        q, r = post.shape
-        arr = np.empty((keep.size, q, r))
-        for j in range(q):
-            arr[:, j, :] = rng.dirichlet(post[j], size=total)[keep]
+        arr = np.empty((config.kept_per_chain,) + post.shape)
+        for j, row in enumerate(post):
+            arr[:, j, :] = rng.dirichlet(row, size=config.kept_per_chain)
         out[node] = arr
     return out
 

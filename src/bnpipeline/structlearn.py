@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayesnet import Dag, GraphError, family_counts
-from .dataset import DataError, Dataset, contingency_table
+from .bayesnet import Dag, GraphError, family_counts, parse_edge
+from .dataset import DataError, Dataset, content_lines, contingency_table
 from .infotheory import conditional_mutual_information, mutual_information
 from .modelselect import local_log_marginal_likelihood
 
@@ -55,38 +55,24 @@ class CandidateModel:
 
 
 def read_constraints(path: str | Path) -> EdgeConstraints:
-    """Constraint file: lines `require A -> B` and `forbid A -> B`."""
-    white, black = [], []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2 or "->" not in parts[1]:
+    """Constraint file: lines `require A -> B` and `forbid A -> B`. Constraints
+    that contradict each other are a DataError naming the file."""
+    edges: dict[str, list[tuple[str, str]]] = {"require": [], "forbid": []}
+    for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
+        kind = line.split()[0]
+        if kind not in edges:
             raise DataError(f"{path}:{lineno}: expected 'require A -> B' or 'forbid A -> B'")
-        kind, rest = parts
-        parent, child = (s.strip() for s in rest.split("->", 1))
-        if kind == "require":
-            white.append((parent, child))
-        elif kind == "forbid":
-            black.append((parent, child))
-        else:
-            raise DataError(f"{path}:{lineno}: unknown directive {kind!r}")
-    return EdgeConstraints(tuple(white), tuple(black))
+        edges[kind].append(parse_edge(line[len(kind) :], f"{path}:{lineno}"))
+    try:
+        return EdgeConstraints(tuple(edges["require"]), tuple(edges["forbid"]))
+    except ConstraintError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def read_orientation(path: str | Path) -> list[tuple[str, str]]:
     """Orientation file: one `A -> B` line per skeleton edge."""
-    edges = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "->" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'A -> B'")
-        parent, child = (s.strip() for s in line.split("->", 1))
-        edges.append((parent, child))
-    return edges
+    lines = content_lines(Path(path).read_text(encoding="utf-8"))
+    return [parse_edge(line, f"{path}:{lineno}") for lineno, line in lines]
 
 
 # ---------------------------------------------------------------------------

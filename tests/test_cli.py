@@ -328,6 +328,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: cost over the cap"]
 
+    @pytest.mark.parametrize("constraints", [
+        "require P -> Q\nforbid P -> Q\n",
+        "require P -> Q\nrequire Q -> P\n",
+    ])
+    def test_contradictory_constraints_file_is_3(self, workspace, capsys, constraints):
+        (workspace / "bad.constraints").write_text(constraints, encoding="utf-8")
+        (workspace / "constrained.ini").write_text(
+            CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
+            .replace("learners = hc, chowliu, tan, naive, bd", "learners = hc, naive\nconstraints = bad.constraints"),
+            encoding="utf-8",
+        )
+        assert run("learn", "--config", "constrained.ini") == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("data error: bad.constraints:") and err.count("\n") == 1
+
     def test_learn_on_twelve_five_state_variables(self, workspace):
         names = [f"V{i:02d}" for i in range(12)]
         states = ("1", "2", "3", "4", "5")

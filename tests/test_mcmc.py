@@ -120,6 +120,21 @@ class TestSampleParameters:
         with pytest.raises(ValueError):
             sample_parameters(net, McmcConfig(seed=1), nodes=["Z"])
 
+    @pytest.mark.parametrize("schedule, same_as", [
+        ({"adapt_iters": 500, "burnin_iters": 500, "sample_iters": 25}, {"sample_iters": 25}),
+        ({"sample_iters": 100, "thin": 4}, {"sample_iters": 25}),
+    ])
+    def test_draws_depend_only_on_the_kept_count(self, schedule, same_as):
+        # exact draws need no warm-up or thinning: only the kept rows are drawn
+        net = toy_chain_network()
+        base = {"seed": 12, "chains": 2, "adapt_iters": 0, "burnin_iters": 0}
+        a = sample_parameters(net, McmcConfig(**{**base, **schedule}))
+        b = sample_parameters(net, McmcConfig(**{**base, **same_as}))
+        for node in a.draws:
+            for ca, cb in zip(a.draws[node], b.draws[node], strict=True):
+                assert ca.shape[0] == 25
+                assert np.array_equal(ca, cb)
+
 
 class TestSummaries:
     def test_percent_row_summary(self):
