@@ -120,7 +120,7 @@ def reverse_edge(dag: Dag, parent: str, child: str) -> Dag:
 
 # ---------------------------------------------------------------------------
 # structure files: one `PARENT -> CHILD` line per edge, optional `node NAME`
-# lines for isolated nodes, '#' comments.
+# lines for isolated nodes, '#' comments. A line holding `->` is an edge.
 # ---------------------------------------------------------------------------
 
 def parse_edge(text: str, where: str) -> tuple[str, str]:
@@ -137,7 +137,7 @@ def read_structure(path: str | Path) -> Dag:
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
     for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
-        if line.startswith("node "):
+        if line.startswith("node ") and "->" not in line:
             nodes.append(line[len("node ") :].strip())
         else:
             edge = parse_edge(line, f"{path}:{lineno}")
@@ -260,6 +260,19 @@ def fit_conjugate(dag: Dag, data: Dataset, alpha0: float = 1.0) -> FittedNetwork
         counts = family_counts(data, node, order).astype(float)
         cpts[node] = Cpt(node, order, np.full(counts.shape, float(alpha0)), counts)
     return FittedNetwork(dag, data.schema, cpts)
+
+
+def subtract_counts(network: FittedNetwork, data: Dataset) -> FittedNetwork:
+    """The network as fitted without data's rows, which must be among the
+    rows it was fitted on: each CPT keeps its prior and loses those rows'
+    family counts. Counts are additive, so this equals a refit on the rest."""
+    cpts = {}
+    for node, cpt in network.cpts.items():
+        counts = cpt.counts - family_counts(data, node, cpt.parent_order)
+        if np.any(counts < 0):
+            raise ValueError(f"rows to subtract were not all fitted ({node!r} counts below 0)")
+        cpts[node] = Cpt(node, cpt.parent_order, cpt.alpha, counts)
+    return FittedNetwork(network.dag, network.schema, cpts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -259,7 +260,10 @@ def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = No
     Columns are matched to schema variables by header name, in any order.
     Columns not named in the schema are skipped with a warning. Any cell
     that is not a declared state of its variable is an error; there is no
-    missing-value handling.
+    missing-value handling. The rows are read whole, transposed, and encoded
+    one column at a time. The error reported is at the first offending row
+    in the file: its width if that is wrong, or else its first unknown state
+    in schema order.
     """
     opts = options or CsvOptions()
     with open(path, newline="", encoding=opts.encoding) as fh:
@@ -279,25 +283,25 @@ def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = No
         extra = [name for name in header if name not in set(schema.names)]
         if extra:
             warnings.warn(f"{path}: ignoring columns {extra}", stacklevel=2)
+        rows = list(reader)
 
-        lookup = [
-            {label: k for k, label in enumerate(spec.states)}
-            for spec in schema.variables
-        ]
-        cols = [col_of[name] for name in schema.names]
-        rows = []
-        for row_num, cells in enumerate(reader, 1):
-            if len(cells) != len(header):
-                raise DataError(f"{path}: row {row_num} has {len(cells)} cells, expected {len(header)}")
-            encoded = np.empty(len(cols), dtype=np.int64)
-            for j, (col, table) in enumerate(zip(cols, lookup)):
-                value = cells[col]
-                try:
-                    encoded[j] = table[value]
-                except KeyError:
-                    raise UnknownState(schema.names[j], value, row_num) from None
-            rows.append(encoded)
-    records = np.vstack(rows) if rows else np.empty((0, len(cols)), dtype=np.int64)
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    ragged = np.flatnonzero(widths != len(header))
+    n = int(ragged[0]) if ragged.size else len(rows)
+    columns = list(zip(*rows[:n])) or [()] * len(header)
+    del rows  # the columns hold every cell now
+    records = np.empty((n, len(schema.names)), dtype=np.int64)
+    for j, spec in enumerate(schema.variables):
+        table = {label: k for k, label in enumerate(spec.states)}
+        column = columns[col_of[spec.name]]
+        records[:, j] = np.fromiter(map(table.get, column, repeat(-1)), dtype=np.int64, count=n)
+    unknown = np.flatnonzero((records < 0).any(axis=1))
+    if unknown.size:
+        row = int(unknown[0])
+        name = schema.names[int(np.argmax(records[row] < 0))]
+        raise UnknownState(name, columns[col_of[name]][row], row + 1)
+    if n < len(widths):
+        raise DataError(f"{path}: row {n + 1} has {widths[n]} cells, expected {len(header)}")
     return Dataset(schema, records)
 
 
@@ -417,17 +421,12 @@ def make_split(
 
 
 def write_split_plan(split: SplitPlan, path: str | Path) -> None:
-    """CSV of (row_index, assignment); assignment is test, fold_<i> or train_only."""
-    assignment = {}
-    for i in split.test_idx:
-        assignment[i] = "test"
+    """CSV of (row_index, assignment) for each of the split's rows 0..n-1;
+    assignment is test, fold_<i> or train_only."""
+    labels = np.full(len(split.train_idx) + len(split.test_idx), "train_only", dtype=object)
+    labels[list(split.test_idx)] = "test"
     for f, fold in enumerate(split.folds, 1):
-        for i in fold:
-            assignment[i] = f"fold_{f}"
-    for i in split.train_idx:
-        assignment.setdefault(i, "train_only")
+        labels[list(fold)] = f"fold_{f}"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_index", "assignment"])
-        for i in sorted(assignment):
-            writer.writerow([i, assignment[i]])
+        fh.write("row_index,assignment\n")
+        fh.writelines(f"{i},{label}\n" for i, label in enumerate(labels))

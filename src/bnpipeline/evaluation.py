@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import FittedNetwork, fit_conjugate
+from .bayesnet import FittedNetwork, fit_conjugate, subtract_counts
 from .dataset import Dataset, SplitPlan, numeric_state_values
 from .mcmc import McmcConfig, PosteriorPredictive, posterior_predict
 from .structlearn import CandidateModel
@@ -112,8 +112,11 @@ def cross_validate(
 ) -> CvResult:
     """Fit every candidate on train-minus-fold and score it on each fold.
 
-    The winner is the model with the smallest average RMSE over folds
-    (ties go to the lexicographically first label).
+    Each candidate is fitted once on the training split; its network for a
+    fold is that fit minus the fold's own family counts, which equals a refit
+    on train-minus-fold because counts are additive. The winner is the model
+    with the smallest average RMSE over folds (ties go to the
+    lexicographically first label).
     """
     if not candidates:
         raise ValueError("no candidate models")
@@ -122,26 +125,24 @@ def cross_validate(
         raise ValueError(f"duplicate candidate labels: {labels}")
     target = data.schema.target
     values = numeric_state_values(data.schema.spec(target))
-    train_set = set(split.train_idx)
-    rows_by_fold = []
-    for fold in split.folds:
-        rows_by_fold.append((sorted(train_set - set(fold)), list(fold)))
+    train_data = data.subset(split.train_idx)
+    fitted = [fit_conjugate(cand.dag, train_data, alpha0) for cand in candidates]
 
     results = []
     sums: dict[str, list[float]] = {c.label: [0.0, 0.0] for c in candidates}
-    for fold_no, (train_rows, valid_rows) in enumerate(rows_by_fold, 1):
-        train_data = data.subset(train_rows)
-        records, truths = evidence_records(data, valid_rows, target)
+    for fold_no, fold in enumerate(split.folds, 1):
+        fold_data = data.subset(fold)
+        records, truths = evidence_records(data, fold, target)
         truth_vals = [values[t] for t in truths]
-        for cand in candidates:
-            network = fit_conjugate(cand.dag, train_data, alpha0)
+        for cand, train_fit in zip(candidates, fitted):
+            network = subtract_counts(train_fit, fold_data)
             preds = posterior_predict(network, records, config=config, mode=mode, target=target)
             pred_vals = [values[p.predicted] for p in preds]
             m = metrics(pred_vals, truth_vals, literal_rmse=literal_rmse)
             results.append((cand.label, fold_no, m))
             sums[cand.label][0] += m.accuracy
             sums[cand.label][1] += m.rmse
-    n_folds = len(rows_by_fold)
+    n_folds = len(split.folds)
     averages = {label: (acc / n_folds, rmse / n_folds) for label, (acc, rmse) in sums.items()}
     best = min(averages, key=lambda lbl: (averages[lbl][1], lbl))
     return CvResult(tuple(results), averages, best)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +23,13 @@ from bnpipeline.bayesnet import (
     reverse_edge,
     sensitivity,
     sensitivity_report,
+    subtract_counts,
     topological_sort,
     write_fitted_network,
     write_structure,
 )
 from bnpipeline.bayesnet import eliminate
-from bnpipeline.dataset import Dataset, Schema, VariableSpec
+from bnpipeline.dataset import DataError, Dataset, Schema, VariableSpec
 from bnpipeline.dataset import ingest_csv, read_schema
 from bnpipeline.infotheory import entropy, mutual_information
 
@@ -145,11 +147,43 @@ class TestStructureFiles:
         assert set(dag.nodes) == {"A", "B", "Z"}
         assert dag.edges == (("A", "B"),)
 
+    def test_arrow_line_from_a_variable_named_node_is_an_edge(self, tmp_path):
+        path = tmp_path / "net.structure"
+        path.write_text("node -> A\nnode B\n")
+        dag = read_structure(path)
+        assert set(dag.nodes) == {"node", "A", "B"}
+        assert dag.edges == (("node", "A"),)
+        path.write_text("node ->\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1:")):
+            read_structure(path)
+
     def test_cyclic_file_rejected(self, tmp_path):
         path = tmp_path / "net.structure"
         path.write_text("A -> B\nB -> A\n")
         with pytest.raises(Exception):
             read_structure(path)
+
+
+class TestSubtractCounts:
+    def test_equals_refit_on_remaining_rows(self):
+        net = random_network(np.random.default_rng(8))
+        data = Dataset(net.schema, np.column_stack(
+            [np.random.default_rng(9).integers(0, net.schema.cardinality(n), 60)
+             for n in net.schema.names]
+        ))
+        whole = fit_conjugate(net.dag, data, alpha0=0.5)
+        rest = subtract_counts(whole, data.subset(range(20)))
+        refit = fit_conjugate(net.dag, data.subset(range(20, 60)), alpha0=0.5)
+        for node, cpt in refit.cpts.items():
+            assert np.array_equal(rest.cpts[node].counts, cpt.counts)
+            assert np.array_equal(rest.cpts[node].posterior_mean, cpt.posterior_mean)
+
+    def test_rows_not_fitted_rejected(self):
+        net = random_network(np.random.default_rng(8))
+        empty = fit_conjugate(net.dag, Dataset(net.schema, np.empty((0, len(net.schema.names)))))
+        rows = Dataset(net.schema, np.zeros((1, len(net.schema.names)), dtype=np.int64))
+        with pytest.raises(ValueError, match="below 0"):
+            subtract_counts(empty, rows)
 
 
 def reconstructed_review_structure():

@@ -1,4 +1,7 @@
+import csv
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +73,63 @@ class TestSchema:
         assert numeric_state_values(spec).tolist() == [float(i) for i in range(1, 11)]
         spec2 = VariableSpec("T", ("lo", "mid", "hi"), "target")
         assert numeric_state_values(spec2).tolist() == [1.0, 2.0, 3.0]
+
+
+# cells with embedded delimiters and quotes, and an extra column E
+PARITY_STATES = {"A": ("x", "a,b", 'say "hi"'), "B": ("y", "w;v", "1"), "E": ("e", "f,g")}
+PARITY_SCHEMA = Schema((
+    VariableSpec("A", PARITY_STATES["A"], "target"),
+    VariableSpec("B", PARITY_STATES["B"]),
+))
+
+
+@st.composite
+def csv_cases(draw):
+    """(header, rows, delimiter): a header-only file when rows is empty; cells
+    are mostly valid, with unknown states and ragged rows mixed in."""
+    header = list(draw(st.permutations(draw(st.sampled_from((("A", "B"), ("A", "B", "E")))))))
+    row = st.tuples(
+        *(st.sampled_from(PARITY_STATES[name] * 3 + ("bad",)) for name in header)
+    ).map(list)
+    ragged = st.lists(st.sampled_from(("x", "y", "a,b", "")), max_size=len(header) + 1)
+    rows = draw(st.lists(st.one_of(row, row, row, ragged), max_size=6))
+    return header, rows, draw(st.sampled_from((",", ";")))
+
+
+def reference_outcome(path, delimiter):
+    """Row-by-row encoder: the first row that is ragged or holds an unknown
+    state (first schema variable in the row) decides the error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *body = csv.reader(fh, delimiter=delimiter)
+    encoded = []
+    for row_num, cells in enumerate(body, 1):
+        if len(cells) != len(header):
+            return ("error", f"{path}: row {row_num} has {len(cells)} cells, expected {len(header)}")
+        codes = []
+        for spec in PARITY_SCHEMA.variables:
+            value = cells[header.index(spec.name)]
+            if value not in spec.states:
+                return ("unknown", spec.name, value, row_num)
+            codes.append(spec.states.index(value))
+        encoded.append(codes)
+    return ("ok", encoded)
+
+
+def ingest_outcome(path, delimiter):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            data = ingest_csv(path, PARITY_SCHEMA, CsvOptions(delimiter=delimiter))
+    except UnknownState as exc:
+        return ("unknown", exc.variable, exc.value, exc.row)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("ok", data.records.tolist())
+
+
+@pytest.fixture(scope="module")
+def parity_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest")
 
 
 class TestIngest:
@@ -173,6 +233,45 @@ class TestIngest:
         write_csv(Dataset(schema, records), path)
         data = ingest_csv(path, schema)
         assert data.records.shape == (234, 10)
+
+    def test_ragged_row_names_row_and_widths(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\nx,y\nx\nz,w\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 2 has 1 cells, expected 2")):
+            ingest_csv(path, two_var_schema())
+
+    def test_unknown_state_before_ragged_row_wins(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\nx,y\nx,q\nx,y,z\n")
+        with pytest.raises(UnknownState) as err:
+            ingest_csv(path, two_var_schema())
+        assert (err.value.variable, err.value.value, err.value.row) == ("B", "q", 2)
+
+    def test_ragged_row_before_unknown_state_wins(self, tmp_path):
+        # the ragged row holds an unknown state too; its width is checked first
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\nx,y\nq,y,z\nq,y\n")
+        with pytest.raises(DataError, match="row 2 has 3 cells, expected 2") as err:
+            ingest_csv(path, two_var_schema())
+        assert not isinstance(err.value, UnknownState)
+
+    def test_first_schema_variable_of_a_row_is_reported(self, tmp_path):
+        # B's cell comes first in the file, but A comes first in the schema
+        path = tmp_path / "d.csv"
+        path.write_text("B,A\ny,x\nq,r\nq,x\n")
+        with pytest.raises(UnknownState) as err:
+            ingest_csv(path, two_var_schema())
+        assert (err.value.variable, err.value.value, err.value.row) == ("A", "r", 2)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(case=csv_cases())
+    def test_matches_row_by_row_reference(self, parity_dir, case):
+        header, rows, delimiter = case
+        path = parity_dir / "d.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows([header, *rows])
+        assert ingest_outcome(path, delimiter) == reference_outcome(path, delimiter)
+
 
 
 class TestDiscretize:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bnpipeline.bayesnet import Dag, fit_conjugate
+from bnpipeline.bayesnet import Dag, fit_conjugate, subtract_counts
 from bnpipeline.dataset import Dataset, Schema, VariableSpec, make_split, numeric_state_values
 from bnpipeline.evaluation import (
     CvResult,
@@ -17,7 +17,7 @@ from bnpipeline.evaluation import (
     write_cv_csv,
     write_final_metrics,
 )
-from bnpipeline.mcmc import posterior_predict
+from bnpipeline.mcmc import McmcConfig, posterior_predict
 from bnpipeline.simulate import benchmark_alternative, benchmark_network, sample_dataset
 from bnpipeline.structlearn import CandidateModel, naive
 
@@ -139,6 +139,31 @@ class TestCrossValidate:
             net = fit_conjugate(dag, data.subset(train_rows))
             records, truths = evidence_records(data, list(fold), "EVAL")
             preds = posterior_predict(net, records, mode="exact", target="EVAL")
+            manual = metrics(
+                [values[p.predicted] for p in preds], [values[t] for t in truths]
+            )
+            assert manual == got
+
+    def test_mcmc_folds_match_refit_on_train_minus_fold(self):
+        # each fold's network is the training fit minus the fold's counts; its
+        # counts, and so its Monte-Carlo metrics, must equal a from-scratch refit
+        dag, data = small_problem(n=200, seed=5)
+        split = make_split(data.n_records, 0.25, 3, 0.12, seed=9)
+        cands = [CandidateModel("truth", dag), naive(data, "EVAL")]
+        config = McmcConfig(seed=4, chains=2, sample_iters=40)
+        cv = cross_validate(cands, data, split, mode="mcmc", config=config)
+        values = numeric_state_values(data.schema.spec("EVAL"))
+        train_data = data.subset(split.train_idx)
+        dags = {c.label: c.dag for c in cands}
+        for label, fold_no, got in cv.fold_metrics:
+            fold = split.folds[fold_no - 1]
+            train_rows = sorted(set(split.train_idx) - set(fold))
+            net = fit_conjugate(dags[label], data.subset(train_rows))
+            subtracted = subtract_counts(fit_conjugate(dags[label], train_data), data.subset(fold))
+            for node, cpt in net.cpts.items():
+                assert np.array_equal(subtracted.cpts[node].counts, cpt.counts)
+            records, truths = evidence_records(data, list(fold), "EVAL")
+            preds = posterior_predict(net, records, config=config, mode="mcmc", target="EVAL")
             manual = metrics(
                 [values[p.predicted] for p in preds], [values[t] for t in truths]
             )
