@@ -328,7 +328,10 @@ def eliminate(
     state, averaged over draws: shape (records, *query cardinalities).
 
     params maps each node to a (draws, configs, states) CPT stack; exact
-    queries pass one draw, the posterior mean. records holds state indices
+    queries pass one draw, the posterior mean. Gathers read each stack as
+    (configs * states, draws), so a stack that is the transposed view of a
+    C-contiguous (configs, states, draws) buffer, as mcmc draws them, is read
+    in place; any other layout is copied once. records holds state indices
     in schema column order, -1 where unobserved; query columns are ignored.
     Records are grouped by which variables they leave unobserved. Fully
     observed families are skipped: they cancel under normalization and
@@ -344,7 +347,7 @@ def eliminate(
     observed[:, [nodes.index(q) for q in query]] = False
     n_draws = len(next(iter(params.values())))
     # (configs * states, draws): a gather then copies whole rows of draws
-    flat = {n: np.ascontiguousarray(stack.reshape(n_draws, -1).T) for n, stack in params.items()}
+    flat = {n: stack.transpose(1, 2, 0).reshape(-1, n_draws) for n, stack in params.items()}
     out = np.empty((len(records),) + tuple(card[q] for q in query))
     for pattern, rows in missing_groups(observed):
         free = [n for n, seen in zip(nodes, pattern) if not seen]

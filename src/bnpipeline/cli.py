@@ -37,7 +37,10 @@ def _load_data(cfg: PipelineConfig) -> Dataset:
         raise ConfigError(
             f"config target {cfg.target!r} does not match schema target {schema.target!r}"
         )
-    return ingest_csv(cfg.dataset_path, schema)
+    data = ingest_csv(cfg.dataset_path, schema)
+    if data.n_records == 0:
+        raise DataError(f"{cfg.dataset_path}: no records after the header row")
+    return data
 
 
 def _selected_data(cfg: PipelineConfig, data: Dataset) -> Dataset:
@@ -54,6 +57,9 @@ def _selected_data(cfg: PipelineConfig, data: Dataset) -> Dataset:
 
 def cmd_select(cfg: PipelineConfig) -> None:
     data = _load_data(cfg)
+    unknown = [n for n in cfg.keep if n not in data.schema.names]
+    if unknown:
+        raise ConfigError(f"[selection] keep names {unknown}, which are not schema variables")
     out = _out(cfg)
     pairwise, triple, delta = infotheory.build_score_tables(data)
     infotheory.write_score_table(pairwise, out / "score_mi.csv")

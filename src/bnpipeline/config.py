@@ -215,6 +215,8 @@ def _validate(cfg: PipelineConfig, source: str) -> None:
         raise ConfigError(f"{source}: prediction modes must be 'exact' or 'mcmc'")
     if cfg.alpha0 <= 0:
         raise ConfigError(f"{source}: alpha0 must be positive")
+    if cfg.bdeu_ess is not None and cfg.bdeu_ess <= 0:
+        raise ConfigError(f"{source}: bdeu_ess must be positive")
     if cfg.hist_bins < 1:
         raise ConfigError(f"{source}: hist_bins must be at least 1")
     if cfg.hc_restarts < 0:
@@ -222,9 +224,14 @@ def _validate(cfg: PipelineConfig, source: str) -> None:
     if not 0 < cfg.test_fraction < 1 or not 0 < cfg.fold_fraction < 1:
         raise ConfigError(f"{source}: split fractions must lie in (0,1)")
     try:
-        cfg.mcmc_config()
+        mcmc = cfg.mcmc_config()
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
+    # fit-predict always computes the split-chain r-hat, which needs these
+    if mcmc.chains < 2:
+        raise ConfigError(f"{source}: [mcmc] chains must be at least 2")
+    if mcmc.kept_per_chain < 10:
+        raise ConfigError(f"{source}: [mcmc] sample_iters / thin must keep at least 10 draws per chain")
 
 
 def load_config(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from itertools import repeat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,7 +20,7 @@ import numpy as np
 
 from .bayesnet import FittedNetwork, fit_conjugate, subtract_counts
 from .dataset import Dataset, SplitPlan, numeric_state_values
-from .mcmc import McmcConfig, PosteriorPredictive, posterior_predict
+from .mcmc import McmcConfig, PosteriorPredictive, predictions, predictive_probs
 from .structlearn import CandidateModel
 
 
@@ -101,6 +103,26 @@ class CvResult:
     best: str
 
 
+# the cross-validation inputs a pool worker inherits from its initializer
+_worker_inputs: tuple | None = None
+
+
+def _set_worker_inputs(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _fold_predictions(task: tuple[int, int], inputs: tuple | None = None) -> np.ndarray:
+    """Predicted target state of each record of one fold by one candidate:
+    task is a (fold, candidate) index pair, and inputs are the training fits,
+    data, split, mode and Monte-Carlo config (a worker's own by default)."""
+    fitted, data, split, mode, config = inputs or _worker_inputs
+    fold = list(split.folds[task[0]])
+    network = subtract_counts(fitted[task[1]], data.subset(fold))
+    probs = predictive_probs(network, data.records[fold], config, mode, data.schema.target)
+    return probs.argmax(axis=1)
+
+
 def cross_validate(
     candidates: Sequence[CandidateModel],
     data: Dataset,
@@ -114,9 +136,13 @@ def cross_validate(
 
     Each candidate is fitted once on the training split; its network for a
     fold is that fit minus the fold's own family counts, which equals a refit
-    on train-minus-fold because counts are additive. The winner is the model
-    with the smallest average RMSE over folds (ties go to the
-    lexicographically first label).
+    on train-minus-fold because counts are additive. The (fold, candidate)
+    tasks are independent, and each seeds its own Monte-Carlo streams, so
+    they run in a pool of one fork-started worker process per CPU this
+    process may use, or in this process where there is one such CPU or no
+    fork. The result does not depend on which. The winner is the model with
+    the smallest average RMSE over folds (ties go to the lexicographically
+    first label).
     """
     if not candidates:
         raise ValueError("no candidate models")
@@ -124,24 +150,34 @@ def cross_validate(
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate candidate labels: {labels}")
     target = data.schema.target
-    values = numeric_state_values(data.schema.spec(target))
+    values = np.asarray(numeric_state_values(data.schema.spec(target)))
     train_data = data.subset(split.train_idx)
     fitted = [fit_conjugate(cand.dag, train_data, alpha0) for cand in candidates]
+    inputs = (fitted, data, split, mode, config)
+    tasks = [(f, c) for f in range(len(split.folds)) for c in range(len(candidates))]
+
+    # imported here: every phase process would pay for the modules otherwise
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(
+            min(cpus, len(tasks)), multiprocessing.get_context("fork"),
+            initializer=_set_worker_inputs, initargs=inputs,
+        ) as pool:
+            predicted = list(pool.map(_fold_predictions, tasks))
+    else:
+        predicted = list(map(_fold_predictions, tasks, repeat(inputs)))
 
     results = []
     sums: dict[str, list[float]] = {c.label: [0.0, 0.0] for c in candidates}
-    for fold_no, fold in enumerate(split.folds, 1):
-        fold_data = data.subset(fold)
-        records, truths = evidence_records(data, fold, target)
-        truth_vals = [values[t] for t in truths]
-        for cand, train_fit in zip(candidates, fitted):
-            network = subtract_counts(train_fit, fold_data)
-            preds = posterior_predict(network, records, config=config, mode=mode, target=target)
-            pred_vals = [values[p.predicted] for p in preds]
-            m = metrics(pred_vals, truth_vals, literal_rmse=literal_rmse)
-            results.append((cand.label, fold_no, m))
-            sums[cand.label][0] += m.accuracy
-            sums[cand.label][1] += m.rmse
+    for (f, c), pred in zip(tasks, predicted):
+        truth = data.records[list(split.folds[f]), data.schema.index(target)]
+        m = metrics(values[pred], values[truth], literal_rmse=literal_rmse)
+        results.append((labels[c], f + 1, m))
+        sums[labels[c]][0] += m.accuracy
+        sums[labels[c]][1] += m.rmse
     n_folds = len(split.folds)
     averages = {label: (acc / n_folds, rmse / n_folds) for label, (acc, rmse) in sums.items()}
     best = min(averages, key=lambda lbl: (averages[lbl][1], lbl))
@@ -159,15 +195,14 @@ def final_evaluation(
 ) -> tuple[Metrics, list[PosteriorPredictive], FittedNetwork]:
     """Retrain on the full training split and score the held-out test set."""
     target = data.schema.target
-    values = numeric_state_values(data.schema.spec(target))
+    spec = data.schema.spec(target)
+    values = np.asarray(numeric_state_values(spec))
     network = fit_conjugate(best.dag, data.subset(list(split.train_idx)), alpha0)
-    records, truths = evidence_records(data, list(split.test_idx), target)
-    preds = posterior_predict(
-        network, records, config=config, mode=mode, target=target, true_states=truths
-    )
-    pred_vals = [values[p.predicted] for p in preds]
-    truth_vals = [values[t] for t in truths]
-    return metrics(pred_vals, truth_vals, literal_rmse=literal_rmse), preds, network
+    records = data.records[list(split.test_idx)]
+    truths = records[:, data.schema.index(target)]
+    probs = predictive_probs(network, records, config, mode, target)
+    summary = metrics(values[probs.argmax(axis=1)], values[truths], literal_rmse=literal_rmse)
+    return summary, predictions(probs, spec, truths), network
 
 
 def write_cv_csv(cv: CvResult, path: str | Path) -> None:

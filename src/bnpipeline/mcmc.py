@@ -3,10 +3,13 @@
 With categorical nodes and Dirichlet priors the parameter posterior is an
 independent Dirichlet per CPT row, so the sampler draws exact independent
 samples per chain. Such draws need no warm-up and no thinning: each chain
-draws only the rows it keeps.
+draws only the rows it keeps. A node's draws of all chains fill one
+(configs, states, chains * kept) buffer, chain after chain, which is the
+layout bayesnet.eliminate gathers from; traces and diagnostics read views of
+it.
 Predictive distributions come from bayesnet.eliminate (variable elimination),
-at the posterior mean in exact mode and over the stacked draws in Monte-Carlo
-mode.
+at the posterior mean in exact mode and over the buffered draws in
+Monte-Carlo mode.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (
-    DEFAULT_ENUMERATION_CAP, FittedNetwork, eliminate, joint_query, missing_groups,
-)
+from .bayesnet import DEFAULT_ENUMERATION_CAP, FittedNetwork, eliminate
 from .dataset import VariableSpec, numeric_state_values
 
 
@@ -61,7 +62,11 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """Recorded parameter draws, one (kept, configs, states) array per chain per node."""
+    """Recorded parameter draws, one (kept, configs, states) array per chain per node.
+
+    sample_parameters gives views: each chain's arrays are transposed slices
+    of the node's (configs, states, chains * kept) draw buffer.
+    """
 
     node_dims: dict[str, tuple[int, int]]
     draws: dict[str, list[np.ndarray]]
@@ -105,18 +110,34 @@ def _chain_rng(seed: int, chain: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain, stream)))
 
 
-def _draw_chain(
-    network: FittedNetwork, nodes: Sequence[str], config: McmcConfig, chain: int, stream: int
+def _draw_buffers(
+    network: FittedNetwork, nodes: Sequence[str], config: McmcConfig
 ) -> dict[str, np.ndarray]:
-    """kept_per_chain exact Dirichlet draws of every CPT row of each requested node."""
+    """Empty (configs, states, chains * kept) draw buffer of each node."""
+    width = config.chains * config.kept_per_chain
+    return {n: np.empty(network.cpts[n].posterior.shape + (width,)) for n in nodes}
+
+
+def _draw_chain(
+    network: FittedNetwork, nodes: Sequence[str], config: McmcConfig, chain: int, stream: int,
+    buffers: Mapping[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """kept_per_chain exact Dirichlet draws of every CPT row of each requested
+    node, written into the chain's columns of the node's buffer and returned
+    as (kept, configs, states) views.
+
+    One rng.dirichlet call per row: its C loop is faster than one
+    standard_gamma call over the node's posterior normalized in numpy, and
+    it covers numpy's stick-breaking branch for rows all below 0.1.
+    """
     rng = _chain_rng(config.seed, chain, stream)
+    kept = config.kept_per_chain
     out = {}
     for node in nodes:
-        post = network.cpts[node].posterior
-        arr = np.empty((config.kept_per_chain,) + post.shape)
-        for j, row in enumerate(post):
-            arr[:, j, :] = rng.dirichlet(row, size=config.kept_per_chain)
-        out[node] = arr
+        dest = buffers[node][:, :, chain * kept : (chain + 1) * kept]
+        for j, row in enumerate(network.cpts[node].posterior):
+            dest[j] = rng.dirichlet(row, size=kept).T
+        out[node] = dest.transpose(2, 0, 1)
     return out
 
 
@@ -130,11 +151,11 @@ def sample_parameters(
     for n in monitored:
         if n not in network.cpts:
             raise ValueError(f"unknown node {n!r}")
+    buffers = _draw_buffers(network, monitored, config)
     draws: dict[str, list[np.ndarray]] = {n: [] for n in monitored}
     for chain in range(config.chains):
-        per_node = _draw_chain(network, monitored, config, chain, stream=0)
-        for n in monitored:
-            draws[n].append(per_node[n])
+        for n, view in _draw_chain(network, monitored, config, chain, 0, buffers).items():
+            draws[n].append(view)
     dims = {n: network.cpts[n].posterior.shape for n in monitored}
     return TraceSet(dims, draws)
 
@@ -143,17 +164,75 @@ def sample_parameters(
 # posterior prediction
 # ---------------------------------------------------------------------------
 
-def _validate_record(
-    network: FittedNetwork, record: Mapping[str, int], target: str
-) -> None:
+def predictive_probs(
+    network: FittedNetwork,
+    records: np.ndarray,
+    config: McmcConfig | None = None,
+    mode: str = "exact",
+    target: str | None = None,
+    max_states: int = DEFAULT_ENUMERATION_CAP,
+) -> np.ndarray:
+    """Predictive target distribution of each row of records, a records x
+    schema matrix of state indices (-1 where unobserved) whose target column
+    is ignored: shape (records, target states).
+
+    mode="exact" evaluates the conditional at posterior-mean parameters.
+    mode="mcmc" estimates the same quantity by Monte Carlo: the per-draw
+    joint mass of each (target state, evidence) is averaged over simulated
+    parameter draws and normalized once, which converges to the exact
+    conditional as draws grow. Both sum the unobserved variables out by
+    variable elimination, in one bayesnet.eliminate call.
+    """
+    if mode not in ("exact", "mcmc"):
+        raise ValueError(f"unknown mode {mode!r}")
     schema = network.schema
-    for var, state in record.items():
-        if var == target:
-            raise ValueError("evidence must not include the target variable")
-        if var not in schema.names:
-            raise ValueError(f"unknown evidence variable {var!r}")
-        if not 0 <= state < schema.cardinality(var):
-            raise ValueError(f"unknown evidence state {state} for {var!r}")
+    tgt = target if target is not None else schema.target
+    if tgt not in network.dag.nodes:
+        raise ValueError(f"target {tgt!r} is not a network node")
+    records = np.asarray(records, dtype=np.int64)
+    if records.ndim != 2 or records.shape[1] != len(schema.names):
+        raise ValueError(f"records must be a matrix with {len(schema.names)} columns")
+    cards = np.array([schema.cardinality(n) for n in schema.names])
+    bad = (records < -1) | (records >= cards)
+    bad[:, schema.index(tgt)] = False
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"unknown evidence state {records[row, col]} for {schema.names[col]!r}")
+
+    if mode == "exact":
+        params = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
+    else:
+        if config is None:
+            raise ValueError("mcmc mode needs an McmcConfig")
+        # families never touching an unobserved variable cancel out of every
+        # record's predictive, so their parameters are not worth drawing
+        hidden = (records < 0).any(axis=0)
+        maybe_hidden = {tgt} | {n for n in network.dag.nodes if hidden[schema.index(n)]}
+        needed = [
+            node
+            for node in network.dag.nodes
+            if maybe_hidden & set(network.cpts[node].parent_order + (node,))
+        ]
+        buffers = _draw_buffers(network, needed, config)
+        for chain in range(config.chains):
+            _draw_chain(network, needed, config, chain, 1, buffers)
+        params = {node: buf.transpose(2, 0, 1) for node, buf in buffers.items()}
+    mass = eliminate(network, params, records, (tgt,), max_states)
+    return mass / mass.sum(axis=1, keepdims=True)
+
+
+def predictions(
+    probs: np.ndarray, spec: VariableSpec, true_states: Sequence[int] | None = None
+) -> list[PosteriorPredictive]:
+    """One PosteriorPredictive per row of target distributions over spec's states."""
+    values = numeric_state_values(spec)
+    return [
+        PosteriorPredictive(
+            i, p, *summarize_distribution(p, values),
+            true_state=None if true_states is None else int(true_states[i]),
+        )
+        for i, p in enumerate(probs)
+    ]
 
 
 def posterior_predict(
@@ -165,66 +244,23 @@ def posterior_predict(
     true_states: Sequence[int] | None = None,
     max_states: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[PosteriorPredictive]:
-    """Predictive target distribution for each evidence record.
-
-    mode="exact" evaluates the conditional at posterior-mean parameters,
-    with one joint_query per group of records that leave the same variables
-    unobserved. mode="mcmc" estimates the same quantity by Monte Carlo: the
-    per-draw joint mass of each (target state, evidence) is averaged over
-    simulated parameter draws and normalized once, which converges to the
-    exact conditional as draws grow. Records may leave predictor variables
-    unobserved; both modes sum them out by variable elimination.
-    """
-    if mode not in ("exact", "mcmc"):
-        raise ValueError(f"unknown mode {mode!r}")
+    """Predictive target distribution for each evidence record, a dict of
+    state indices by variable name that leaves out the target and any
+    unobserved predictor; see predictive_probs for the modes."""
     schema = network.schema
     tgt = target if target is not None else schema.target
-    if tgt not in network.dag.nodes:
-        raise ValueError(f"target {tgt!r} is not a network node")
     if true_states is not None and len(true_states) != len(evidence_records):
         raise ValueError("true_states length must match evidence_records")
-    values = numeric_state_values(schema.spec(tgt))
     matrix = np.full((len(evidence_records), len(schema.names)), -1, dtype=np.int64)
     for i, record in enumerate(evidence_records):
-        _validate_record(network, record, tgt)
-        matrix[i, [schema.index(v) for v in record]] = list(record.values())
-
-    if mode == "exact":
-        probs = np.empty((len(matrix), schema.cardinality(tgt)))
-        for pattern, rows in missing_groups(matrix >= 0):
-            evidence = {n: matrix[rows, j] for j, n in enumerate(schema.names) if pattern[j]}
-            probs[rows] = joint_query(network, evidence, tgt, max_states=max_states)
-    else:
-        if config is None:
-            raise ValueError("mcmc mode needs an McmcConfig")
-        # families never touching an unobserved variable cancel out of every
-        # record's predictive, so their parameters are not worth drawing
-        maybe_hidden = {tgt}
-        for record in evidence_records:
-            maybe_hidden.update(n for n in network.dag.nodes if n not in record)
-        needed = [
-            node
-            for node in network.dag.nodes
-            if maybe_hidden & set(network.cpts[node].parent_order + (node,))
-        ]
-        chunks = [
-            _draw_chain(network, needed, config, chain, stream=1)
-            for chain in range(config.chains)
-        ]
-        # pop, so that each node's per-chain arrays are freed once stacked
-        tables = {
-            node: np.concatenate([c.pop(node) for c in chunks], axis=0) for node in needed
-        }
-        mass = eliminate(network, tables, matrix, (tgt,), max_states)
-        probs = mass / mass.sum(axis=1, keepdims=True)
-
-    return [
-        PosteriorPredictive(
-            i, p, *summarize_distribution(p, values),
-            true_state=None if true_states is None else int(true_states[i]),
-        )
-        for i, p in enumerate(probs)
-    ]
+        if tgt in record:
+            raise ValueError("evidence must not include the target variable")
+        try:
+            matrix[i, [schema.index(v) for v in record]] = list(record.values())
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+    probs = predictive_probs(network, matrix, config, mode, tgt, max_states)
+    return predictions(probs, schema.spec(tgt), true_states)
 
 
 def write_predictions(

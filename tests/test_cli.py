@@ -366,3 +366,35 @@ class TestExitCodes:
         assert run("learn", "--config", "wide.ini") == 0
         reports = sorted(p.name for p in (workspace / "out").glob("sensitivity_*.csv"))
         assert reports == ["sensitivity_chowliu.csv", "sensitivity_naive.csv", "sensitivity_tan.csv"]
+
+
+class TestConfigAndDataDefects:
+    """Inputs that used to end in a traceback and exit 1, or pass silently."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("chains = 2", "chains = 1"),
+        lambda text: text.replace("sample_iters = 300", "sample_iters = 5"),
+        lambda text: text + "\n[model]\nbdeu_ess = 0\n",
+    ], ids=["one_chain", "five_kept_draws", "zero_bdeu_ess"])
+    def test_config_the_run_cannot_use_is_2_at_load(self, workspace, capsys, edit):
+        base = CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
+        (workspace / "bad.ini").write_text(edit(base), encoding="utf-8")
+        assert run("select", "--config", "bad.ini") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_keep_naming_no_variable_is_2(self, workspace, capsys):
+        (workspace / "keep.ini").write_text(
+            CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="NOPE", rhat="1.1"), encoding="utf-8"
+        )
+        assert run("select", "--config", "keep.ini") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "NOPE" in err[0]
+        assert not (workspace / "out" / "selected_variables.txt").exists()
+
+    def test_header_only_dataset_is_3(self, workspace, capsys):
+        header = (workspace / "tiny.csv").read_text().splitlines()[0]
+        (workspace / "tiny.csv").write_text(header + "\n", encoding="utf-8")
+        assert run("select", "--config", "pipeline.ini") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: tiny.csv")

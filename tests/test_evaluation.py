@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -231,3 +233,33 @@ class TestFinalEvaluation:
         lines = (tmp_path / "final.csv").read_text().splitlines()
         assert lines[0] == "cases,correct,large_errors,accuracy,rmse"
         assert lines[1].startswith("35,12,3,")
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker pool needs fork and CPU affinity",
+)
+
+
+@needs_fork
+class TestWorkerPool:
+    @pytest.mark.parametrize("mode, config", [
+        ("exact", None),
+        ("mcmc", McmcConfig(seed=4, chains=2, sample_iters=40)),
+    ])
+    def test_one_cpu_runs_in_process_with_the_pooled_result(self, monkeypatch, mode, config):
+        dag, data = small_problem(n=200, seed=5)
+        split = make_split(data.n_records, 0.25, 3, 0.12, seed=9)
+        cands = [CandidateModel("truth", dag), naive(data, "EVAL")]
+        # two workers even on a one-CPU machine, then none
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = cross_validate(cands, data, split, mode=mode, config=config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cross_validate(cands, data, split, mode=mode, config=config) == pooled
+
+    def test_task_error_reaches_the_caller_with_its_class_and_message(self, monkeypatch):
+        dag, data = small_problem()
+        split = make_split(data.n_records, 0.2, 4, 0.1, seed=3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ValueError, match="^mcmc mode needs an McmcConfig$"):
+            cross_validate([CandidateModel("truth", dag)], data, split, mode="mcmc")

@@ -351,3 +351,27 @@ class TestEliminateDrawStack:
                 evidence = {n: int(s) for n, s in zip(names, row) if s >= 0 and n != query}
                 want = averaged_mass_brute_force(net, stack, evidence, query)
                 assert np.allclose(probs, want, atol=1e-9)
+
+
+class TestSamplerReference:
+    @pytest.mark.parametrize("alpha0", [0.05, 1.0])
+    def test_draws_equal_per_row_dirichlet_calls(self, alpha0):
+        # at alpha0 = 0.05 the CPT rows no record reaches have every entry
+        # below 0.1, where numpy's dirichlet breaks sticks instead of
+        # normalizing gamma variates
+        schema = make_schema([3, 3, 3])
+        dag = Dag(schema.names, (("A", "B"), ("B", "C")))
+        records = np.array([[0, 0, 1], [0, 1, 1], [1, 0, 2], [0, 0, 0]])
+        net = fit_conjugate(dag, Dataset(schema, records), alpha0)
+        if alpha0 < 0.1:
+            assert (net.cpts["C"].posterior.max(axis=1) < 0.1).any()
+        cfg = McmcConfig(seed=23, chains=3, sample_iters=30)
+        traces = sample_parameters(net, cfg)
+        for chain in range(cfg.chains):
+            rng = np.random.default_rng(np.random.SeedSequence(23, spawn_key=(chain, 0)))
+            for node in schema.names:
+                post = net.cpts[node].posterior
+                want = np.empty((30,) + post.shape)
+                for j, row in enumerate(post):
+                    want[:, j, :] = rng.dirichlet(row, size=30)
+                assert np.array_equal(traces.draws[node][chain], want)
