@@ -1,13 +1,14 @@
 """Directed acyclic graphs, Dirichlet-categorical fitting, and queries.
 
 Queries run by variable elimination (Koller & Friedman 2009, ch. 9). One
-routine, eliminate, gathers each CPT factor along the observed values of a
-batch of records and sums out the unobserved variables with np.einsum along
-an np.einsum_path order. It serves exact queries at the posterior mean,
-Monte-Carlo queries over stacks of parameter draws, and the sensitivity
-report. The full joint is never built: the cap bounds the cost of one
-record's contraction, which the network's structure determines, and one
-contraction labels at most 50 unobserved variables.
+routine, eliminate, serves exact queries at the posterior mean, Monte-Carlo
+queries over stacks of parameter draws, and the sensitivity report. It sums
+the unobserved variables out one at a time along its own min-fill order,
+gathering each CPT factor along the observed values of a block of records
+only at the step that uses it and multiplying it into that step's running
+product. The full joint is never built, and the number of unobserved
+variables is not limited: the cap bounds the cost of one record's
+elimination, which the network's structure determines.
 """
 
 from __future__ import annotations
@@ -279,11 +280,10 @@ def subtract_counts(network: FittedNetwork, data: Dataset) -> FittedNetwork:
 # exact and Monte-Carlo queries by variable elimination
 # ---------------------------------------------------------------------------
 
-# np.einsum takes 52 labels; 0 is the draw axis and 1 the record axis
-_MAX_FREE_VARIABLES = 50
-# cells of the gathered factors plus the largest contraction step, per block of
-# records, so that Monte-Carlo stacks of thousands of draws stay small
-_BLOCK_CELLS = 1 << 21
+# cells of the accumulator plus one gathered factor of the widest step, per
+# block of records: 1 MB of float64, so that a block of a Monte-Carlo stack of
+# thousands of draws stays in cache
+_BLOCK_CELLS = 1 << 17
 
 
 def missing_groups(observed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -294,27 +294,74 @@ def missing_groups(observed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(pattern, np.flatnonzero(inverse == g)) for g, pattern in enumerate(patterns)]
 
 
-def _elimination_path(
-    subscripts: list[list[int]], cards: Mapping[int, int], output: list[int], max_states: int
+def min_fill_order(
+    scopes: Sequence[Sequence[str]], card: Mapping[str, int], keep: Sequence[str]
+) -> list[str]:
+    """Greedy min-fill elimination order (Koller & Friedman 2009, §9.4.3) of
+    the variables of scopes not in keep, over the graph that links the
+    variables of each scope. Each pick adds the fewest edges between its
+    neighbours; ties go to the smallest step (the product of the variable's
+    and its neighbours' cardinalities), then to the label. A pick rescores
+    only its neighbours and the common neighbours of each edge it adds."""
+    adj: dict[str, set[str]] = {}
+    for scope in scopes:
+        for v in scope:
+            adj.setdefault(v, set()).update(scope)
+    for v, near in adj.items():
+        near.discard(v)
+
+    def score(v):
+        near = adj[v]
+        fill = sum(len(near - adj[u]) - 1 for u in near) // 2
+        return fill, card[v] * math.prod(card[u] for u in near), v
+
+    todo = {v: score(v) for v in adj if v not in keep}
+    order = []
+    while todo:
+        v = min(todo, key=todo.__getitem__)
+        del todo[v]
+        order.append(v)
+        near = adj.pop(v)
+        stale = set(near)
+        for u in near:
+            adj[u].discard(v)
+            added = near - adj[u] - {u}
+            adj[u] |= added
+            for w in added:  # a new edge changes the fill of the pair's common neighbours
+                stale |= adj[u] & adj[w]
+        for u in stale & todo.keys():
+            todo[u] = score(u)
+    return order
+
+
+def _elimination_steps(
+    scopes: list[tuple[str, ...]], card: Mapping[str, int], query: Sequence[str], max_states: int
 ) -> tuple[list, int]:
-    """np.einsum_path order for factors over variable labels, and its largest
-    step. A step's size is the product of the cardinalities it touches; the
-    path's cost, the sum of its step sizes, may not exceed max_states."""
-    operands: list = []
-    for sub in subscripts:
-        operands += [np.broadcast_to(0.0, [cards[v] for v in sub]), sub]
-    path, _ = np.einsum_path(*operands, output, optimize="greedy")
-    live = [set(sub) for sub in subscripts]
-    cost = width = 0
-    for step in path[1:]:
-        touched = set().union(*(live.pop(i) for i in sorted(step, reverse=True)))
-        size = math.prod(cards[v] for v in touched)
-        cost += size
-        width = max(width, size)
-        live.append(touched & set(output).union(*live))
-    if cost > max_states:
-        raise EnumerationTooLarge(f"elimination cost {cost} per record exceeds cap {max_states}")
-    return path, width
+    """Bucket elimination along min_fill_order: one (labels, factors, messages,
+    axis) step per eliminated variable, then a last step over the query with
+    axis None. A step multiplies the factors (indices into scopes) and the
+    messages (outputs of earlier steps) that hold its variable, over the
+    union of their labels in sorted order, and sums the variable out along
+    axis (counting a leading record axis). Each message is (step index,
+    shape along the labels, 1 where it lacks one). A step's size is the
+    product of its labels' cardinalities; the order's cost, the sum of its
+    step sizes, may not exceed max_states. Also returns the largest size."""
+    pending = {("factor", i): set(scope) for i, scope in enumerate(scopes)}
+    steps = []
+    for v in min_fill_order(scopes, card, query) + [None]:
+        used = {key: pending.pop(key) for key, scope in list(pending.items()) if v is None or v in scope}
+        labels = tuple(sorted(set().union(*used.values())))
+        factors = [i for (kind, i) in used if kind == "factor"]
+        messages = [
+            (i, [card[u] if u in scope else 1 for u in labels]) for (kind, i), scope in used.items() if kind == "message"
+        ]
+        if v is not None:
+            pending["message", len(steps)] = set(labels) - {v}
+        steps.append((labels, factors, messages, None if v is None else 1 + labels.index(v)))
+    sizes = [math.prod(card[u] for u in labels) for labels, *_ in steps]
+    if sum(sizes) > max_states:
+        raise EnumerationTooLarge(f"elimination cost {sum(sizes)} per record exceeds cap {max_states}")
+    return steps, max(sizes)
 
 
 def eliminate(
@@ -335,9 +382,13 @@ def eliminate(
     in schema column order, -1 where unobserved; query columns are ignored.
     Records are grouped by which variables they leave unobserved. Fully
     observed families are skipped: they cancel under normalization and
-    factor out of the draw average. The rest are gathered along the observed
-    columns and the unobserved variables summed out with np.einsum along an
-    np.einsum_path order, never building the full joint.
+    factor out of the draw average. The unobserved variables are summed out
+    one at a time in min_fill_order, block of records by block, with no
+    limit on their number. A step gathers each factor along the observed
+    columns only when the step consumes it, straight into the step's layout
+    (record, step labels, draw), multiplies it into one accumulator in place
+    and sums the step's variable out; the last step multiplies what is left
+    over the query and averages the draws. The full joint is never built.
     """
     schema = network.schema
     nodes = network.dag.nodes
@@ -350,38 +401,54 @@ def eliminate(
     flat = {n: stack.transpose(1, 2, 0).reshape(-1, n_draws) for n, stack in params.items()}
     out = np.empty((len(records),) + tuple(card[q] for q in query))
     for pattern, rows in missing_groups(observed):
-        free = [n for n, seen in zip(nodes, pattern) if not seen]
-        if len(free) > _MAX_FREE_VARIABLES:
-            raise EnumerationTooLarge(
-                f"{len(free)} unobserved variables, over the {_MAX_FREE_VARIABLES} np.einsum can label"
-            )
-        label = {n: i + 2 for i, n in enumerate(free)}
-        output = [label[q] for q in query]
-        factors = []  # (flat parameter stack, free-state offsets, observed strides, labels)
+        free = {n for n, seen in zip(nodes, pattern) if not seen}
+        families = []  # (node, unobserved scope, strides by variable)
         for node in nodes:
             scope = network.cpts[node].parent_order + (node,)
-            if not any(v in label for v in scope):
+            if free.isdisjoint(scope):
                 continue
             strides = dict(zip(scope, [s * card[node] for s in _config_strides(schema, scope[:-1])] + [1]))
-            hidden = [v for v in scope if v in label]
-            grid = np.indices([card[v] for v in hidden])
-            offsets = np.tensordot([strides[v] for v in hidden], grid, axes=1)
-            fixed = {schema.index(v): strides[v] for v in scope if v not in label}
-            factors.append((flat[node], offsets, fixed, [label[v] for v in hidden]))
-        path, width = _elimination_path(
-            [sub for *_, sub in factors], {label[n]: card[n] for n in free}, output, max_states
-        )
-        cells = width + sum(offsets.size for _, offsets, _, _ in factors)
-        step = max(1, _BLOCK_CELLS // (n_draws * cells))
+            families.append((node, tuple(v for v in scope if v in free), strides))
+        steps, width = _elimination_steps([hidden for _, hidden, _ in families], card, query, max_states)
+        plan = []  # per step: (flat stack, free-state offsets, observed strides) of each factor, messages, axis
+        for labels, factors, messages, axis in steps:
+            gathers = []
+            for node, hidden, strides in (families[i] for i in factors):
+                offsets = sum(
+                    np.reshape(np.arange(card[u]) * strides[u], [-1 if w == u else 1 for w in labels]) for u in hidden
+                )
+                fixed = {schema.index(u): s for u, s in strides.items() if u not in free}
+                gathers.append((flat[node], offsets, fixed))
+            plan.append((gathers, messages, axis))
+        # the last step's labels are sorted; put them in query order
+        final = (0, *(1 + steps[-1][0].index(q) for q in query))
+        step = max(1, _BLOCK_CELLS // (n_draws * 2 * width))
         for start in range(0, len(rows), step):
             block = records[rows[start : start + step]]
-            operands: list = []
-            for table, offsets, fixed, sub in factors:
-                # a family with no observed variable gets a record axis of size 1
-                base = sum(block[:, col] * stride for col, stride in fixed.items())
-                operands += [table[np.reshape(base, (-1,) + (1,) * offsets.ndim) + offsets], [1] + sub + [0]]
-            out[rows[start : start + step]] = np.einsum(*operands, [1] + output, optimize=path) / n_draws
+            results = []
+            for gathers, messages, axis in plan:
+                acc = None
+                for table, offsets, fixed in gathers:
+                    # a family with no observed variable gets a record axis of size 1
+                    base = sum(block[:, col] * stride for col, stride in fixed.items())
+                    acc = _multiply_into(acc, table[np.reshape(base, (-1,) + (1,) * offsets.ndim) + offsets])
+                for m, shape in messages:
+                    message = results[m]
+                    results[m] = None
+                    acc = _multiply_into(acc, message.reshape(len(message), *shape, n_draws))
+                results.append(None if axis is None else acc.sum(axis=axis))
+            out[rows[start : start + step]] = (acc.sum(axis=-1) / n_draws).transpose(final)
     return out
+
+
+def _multiply_into(acc: np.ndarray | None, factor: np.ndarray) -> np.ndarray:
+    """acc * factor, in place when acc already has the product's shape."""
+    if acc is None:
+        return factor
+    if acc.shape != np.broadcast_shapes(acc.shape, factor.shape):
+        return acc * factor
+    acc *= factor
+    return acc
 
 
 def joint_marginal(

@@ -382,6 +382,7 @@ def make_split(
     The test set holds round(test_fraction * n) records. Each fold holds
     round(fold_fraction * n) records (a fraction of the full dataset, not of
     the training set) and folds are disjoint subsets of the training indices.
+    Neither the test set nor a fold may be empty.
     """
     if n < 2:
         raise SplitError("need at least 2 records to split")
@@ -393,6 +394,8 @@ def make_split(
         raise SplitError(f"fold_fraction must be in (0,1), got {fold_fraction}")
     test_size = int(round(test_fraction * n))
     fold_size = int(round(fold_fraction * n))
+    if test_size < 1:
+        raise SplitError("test_fraction too small: empty test set")
     if fold_size < 1:
         raise SplitError("fold_fraction too small: empty folds")
     rng = np.random.default_rng(seed)

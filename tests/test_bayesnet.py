@@ -19,6 +19,7 @@ from bnpipeline.bayesnet import (
     fit_conjugate,
     joint_marginal,
     joint_query,
+    min_fill_order,
     read_structure,
     reverse_edge,
     sensitivity,
@@ -32,6 +33,7 @@ from bnpipeline.bayesnet import eliminate
 from bnpipeline.dataset import DataError, Dataset, Schema, VariableSpec
 from bnpipeline.dataset import ingest_csv, read_schema
 from bnpipeline.infotheory import entropy, mutual_information
+from bnpipeline.simulate import sample_dataset
 
 
 def make_schema(cards, target_index=0):
@@ -521,3 +523,52 @@ class TestSensitivityRanking:
         # are independent of EVAL and tie at exactly zero, in label order
         assert report[-4:] == [("F1", 0.0), ("F4", 0.0), ("F5", 0.0), ("F8", 0.0)]
         assert all(score > 0.0 for _, score in report[:-4])
+
+
+class TestMinFillOrder:
+    def test_star_leaves_go_before_an_unqueried_centre(self):
+        # every leaf adds no fill edge, the centre would add one per pair of
+        # leaves; leaves tie on fill and go by step size, then label
+        scopes = [("C",), ("C", "L1"), ("C", "L2"), ("C", "L3"), ("C", "L4")]
+        card = {"C": 3, "L1": 2, "L2": 5, "L3": 4, "L4": 2}
+        assert min_fill_order(scopes, card, keep=("L2",)) == ["L1", "L4", "L3", "C"]
+        # with no leaf kept, the last leaf and the centre form one edge and
+        # tie on fill and size, so the label decides
+        assert min_fill_order(scopes, card, keep=()) == ["L1", "L4", "L3", "C", "L2"]
+
+    def test_chain_is_eliminated_without_fill(self):
+        names = [f"V{i}" for i in range(6)]
+        scopes = [(names[0],)] + list(zip(names, names[1:]))
+        order = min_fill_order(scopes, dict.fromkeys(names, 5), keep=("V0",))
+        assert sorted(order) == names[1:]
+        # each pick is an end of what is left of the chain, so no step holds
+        # more than two variables
+        left = set(names)
+        for v in order:
+            left.discard(v)
+            i = names.index(v)
+            assert len(left & set(names[max(i - 1, 0) : i + 2])) <= 1
+
+
+def five_state_chain(n_vars, n_records, seed):
+    """Data sampled from V00 -> V01 -> ... with a noisy copy at each link."""
+    names = [f"V{i:02d}" for i in range(n_vars)]
+    schema = Schema(tuple(
+        VariableSpec(n, tuple("12345"), "target" if i == 0 else "predictor") for i, n in enumerate(names)
+    ))
+    dag = Dag(schema.names, tuple(zip(names, names[1:])))
+    tables = {n: np.full((5, 5), 0.05) + np.eye(5) * 0.75 for n in names[1:]}
+    tables[names[0]] = np.full((1, 5), 0.2)
+    return dag, sample_dataset(dag, schema, tables, n_records, seed=seed)
+
+
+class TestWideNetworks:
+    def test_sixty_variable_chain_sensitivity_matches_the_two_node_network(self):
+        dag, data = five_state_chain(60, 500, seed=17)
+        report = dict(sensitivity_report(fit_conjugate(dag, data), "V00"))
+        assert len(report) == 59
+        # the CPTs below V01 sum out to 1, so the pair marginal of (V00, V01)
+        # is that of the network over those two columns alone
+        pair = data.schema.restrict(["V00", "V01"])
+        two = fit_conjugate(Dag(pair.names, (("V00", "V01"),)), Dataset(pair, data.records[:, :2]))
+        assert report["V01"] == pytest.approx(sensitivity(two, "V00", "V01"), abs=1e-12)

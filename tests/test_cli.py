@@ -7,6 +7,7 @@ from bnpipeline.cli import main
 from bnpipeline.config import ConfigError, dump_config, load_config, parse_config_text
 from bnpipeline.dataset import Dataset, Schema, VariableSpec, write_csv, write_schema
 from bnpipeline.simulate import sample_dataset
+from test_bayesnet import five_state_chain
 
 CONFIG = """\
 [data]
@@ -367,6 +368,23 @@ class TestExitCodes:
         reports = sorted(p.name for p in (workspace / "out").glob("sensitivity_*.csv"))
         assert reports == ["sensitivity_chowliu.csv", "sensitivity_naive.csv", "sensitivity_tan.csv"]
 
+    def test_learn_on_sixty_five_state_variables(self, workspace):
+        # more unobserved variables than np.einsum has labels for
+        _, data = five_state_chain(60, 500, seed=4)
+        write_csv(data, workspace / "wide.csv")
+        write_schema(data.schema, workspace / "wide.schema")
+        (workspace / "wide.ini").write_text(
+            CONFIG.format(min_mi=0.0, min_cmi=0.0, keep="", rhat="1.1")
+            .replace("tiny.csv", "wide.csv").replace("tiny.schema", "wide.schema")
+            .replace("learners = hc, chowliu, tan, naive, bd", "learners = chowliu, naive")
+            .replace("user_structures = truth=truth.structure", ""),
+            encoding="utf-8",
+        )
+        assert run("learn", "--config", "wide.ini") == 0
+        for label in ("chowliu", "naive"):
+            lines = (workspace / "out" / f"sensitivity_{label}.csv").read_text().splitlines()
+            assert len(lines) == 1 + 59
+
 
 class TestConfigAndDataDefects:
     """Inputs that used to end in a traceback and exit 1, or pass silently."""
@@ -391,6 +409,23 @@ class TestConfigAndDataDefects:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "NOPE" in err[0]
         assert not (workspace / "out" / "selected_variables.txt").exists()
+
+    def test_empty_test_set_is_3(self, workspace, capsys):
+        # round(0.001 * 240) = 0 test records; a named model lets
+        # fit-predict run without cv's choice
+        (workspace / "small.ini").write_text(
+            CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
+            .replace("test_fraction = 0.15", "test_fraction = 0.001")
+            .replace("[predict]", "[predict]\nmodel = naive"),
+            encoding="utf-8",
+        )
+        for cmd in ("select", "learn", "compare"):
+            assert run(cmd, "--config", "small.ini") == 0
+        capsys.readouterr()
+        for cmd in ("cv", "fit-predict"):
+            assert run(cmd, "--config", "small.ini") == 3
+            err = capsys.readouterr().err
+            assert err == "data error: test_fraction too small: empty test set\n"
 
     def test_header_only_dataset_is_3(self, workspace, capsys):
         header = (workspace / "tiny.csv").read_text().splitlines()[0]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bnpipeline import bayesnet
 from bnpipeline.bayesnet import Cpt, Dag, FittedNetwork, fit_conjugate
 from bnpipeline.bayesnet import eliminate
 from bnpipeline.dataset import Dataset, Schema, VariableSpec
@@ -347,6 +348,32 @@ class TestEliminateDrawStack:
             records[rng.random(records.shape) < 0.4] = -1
             mass = eliminate(net, stack, records, (query,))
             got = mass / mass.sum(axis=1, keepdims=True)
+            for row, probs in zip(records, got):
+                evidence = {n: int(s) for n, s in zip(names, row) if s >= 0 and n != query}
+                want = averaged_mass_brute_force(net, stack, evidence, query)
+                assert np.allclose(probs, want, atol=1e-9)
+
+    def test_seven_draws_match_brute_force_at_any_block_size(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        for _ in range(8):
+            net = random_network(rng, max_nodes=6)
+            names = list(net.schema.names)
+            query = names[int(rng.integers(len(names)))]
+            # (configs, states, draws) buffers read through transposed views, as mcmc lays them out
+            stack = {
+                n: np.stack([rng.dirichlet(row, size=7).T for row in net.cpts[n].posterior]).transpose(2, 0, 1)
+                for n in names
+            }
+            records = np.column_stack(
+                [rng.integers(0, net.schema.cardinality(n), size=16) for n in names]
+            )
+            records[rng.random(records.shape) < 0.5] = -1
+            default = eliminate(net, stack, records, (query,))
+            monkeypatch.setattr(bayesnet, "_BLOCK_CELLS", 1)  # one record per block
+            single = eliminate(net, stack, records, (query,))
+            monkeypatch.undo()
+            assert np.allclose(single, default, rtol=1e-12, atol=1e-12)
+            got = default / default.sum(axis=1, keepdims=True)
             for row, probs in zip(records, got):
                 evidence = {n: int(s) for n, s in zip(names, row) if s >= 0 and n != query}
                 want = averaged_mass_brute_force(net, stack, evidence, query)
