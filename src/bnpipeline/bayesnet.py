@@ -244,7 +244,15 @@ def cpt_parameter_count(network: FittedNetwork, node: str) -> int:
 
 
 def family_counts(data: Dataset, node: str, parents: Sequence[str]) -> np.ndarray:
-    """Count table (parent configurations x node states) for one family."""
+    """Count table (parent configurations x node states) for one family;
+    EnumerationTooLarge if it would hold more than DEFAULT_ENUMERATION_CAP
+    cells."""
+    cells = math.prod(data.schema.cardinality(n) for n in (*parents, node))
+    if cells > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"family table of {node!r} over {len(parents)} parents has {cells} cells, "
+            f"over cap {DEFAULT_ENUMERATION_CAP}"
+        )
     return contingency_table(data, (*parents, node)).reshape(-1, data.schema.cardinality(node))
 
 

@@ -9,6 +9,7 @@ from a sample keep their slot in every downstream count table.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -120,13 +121,14 @@ class Schema:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Complete categorical records stored as state indices (n rows x m variables)."""
+    """Complete categorical records stored as state indices (n rows x m
+    variables), column-major so that each variable's column is contiguous."""
 
     schema: Schema
     records: np.ndarray
 
     def __post_init__(self):
-        rec = np.asarray(self.records, dtype=np.int64)
+        rec = np.asfortranarray(self.records, dtype=np.int64)
         if rec.ndim != 2 or rec.shape[1] != len(self.schema.variables):
             raise DataError(
                 f"records shape {rec.shape} does not match schema with "
@@ -147,12 +149,14 @@ class Dataset:
         return self.records[:, self.schema.index(name)]
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset(self.schema, self.records[np.asarray(indices, dtype=np.int64)])
+        # gathered along the rows of the transpose: one column-major copy
+        rows = np.asarray(indices, dtype=np.int64)
+        return Dataset(self.schema, np.take(self.records.T, rows, axis=1).T)
 
     def select_variables(self, names: Sequence[str]) -> "Dataset":
         sub = self.schema.restrict(names)
         cols = [self.schema.index(v.name) for v in sub.variables]
-        return Dataset(sub, self.records[:, cols])
+        return Dataset(sub, self.records.T[cols].T)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -185,14 +189,17 @@ class SplitPlan:
 
 
 def contingency_table(data: Dataset, names: Sequence[str]) -> np.ndarray:
-    """Joint count table over the named variables, axes sized from the schema."""
+    """Joint count table over the named variables, axes sized from the schema.
+
+    Each record's cell is its mixed-radix index over the named columns, the
+    last varying fastest, accumulated one contiguous column at a time."""
     shape = tuple(data.schema.cardinality(n) for n in names)
-    cols = [data.schema.index(n) for n in names]
-    flat = np.zeros(int(np.prod(shape)), dtype=np.int64)
-    if data.n_records:
-        idx = np.ravel_multi_index(tuple(data.records[:, c] for c in cols), shape)
-        flat += np.bincount(idx, minlength=flat.size)
-    return flat.reshape(shape)
+    columns = [data.records[:, data.schema.index(n)] for n in names]
+    idx = columns[0].copy()
+    for r, column in zip(shape[1:], columns[1:]):
+        idx *= r
+        idx += column
+    return np.bincount(idx, minlength=math.prod(shape)).reshape(shape)
 
 
 def numeric_state_values(spec: VariableSpec) -> np.ndarray:
@@ -290,7 +297,7 @@ def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = No
     n = int(ragged[0]) if ragged.size else len(rows)
     columns = list(zip(*rows[:n])) or [()] * len(header)
     del rows  # the columns hold every cell now
-    records = np.empty((n, len(schema.names)), dtype=np.int64)
+    records = np.empty((n, len(schema.names)), dtype=np.int64, order="F")
     for j, spec in enumerate(schema.variables):
         table = {label: k for k, label in enumerate(spec.states)}
         column = columns[col_of[spec.name]]

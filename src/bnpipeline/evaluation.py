@@ -123,6 +123,24 @@ def _fold_predictions(task: tuple[int, int], inputs: tuple | None = None) -> np.
     return probs.argmax(axis=1)
 
 
+def _pool_map(tasks: list[tuple[int, int]], inputs: tuple) -> list[np.ndarray] | None:
+    """_fold_predictions of each task in a pool of one fork-started worker
+    process per CPU this process may use; None where there is one such CPU
+    or no fork."""
+    # imported here: every phase process would pay for the modules otherwise
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    with ProcessPoolExecutor(
+        min(cpus, len(tasks)), multiprocessing.get_context("fork"),
+        initializer=_set_worker_inputs, initargs=inputs,
+    ) as pool:
+        return list(pool.map(_fold_predictions, tasks))
+
+
 def cross_validate(
     candidates: Sequence[CandidateModel],
     data: Dataset,
@@ -137,12 +155,12 @@ def cross_validate(
     Each candidate is fitted once on the training split; its network for a
     fold is that fit minus the fold's own family counts, which equals a refit
     on train-minus-fold because counts are additive. The (fold, candidate)
-    tasks are independent, and each seeds its own Monte-Carlo streams, so
-    they run in a pool of one fork-started worker process per CPU this
-    process may use, or in this process where there is one such CPU or no
-    fork. The result does not depend on which. The winner is the model with
-    the smallest average RMSE over folds (ties go to the lexicographically
-    first label).
+    tasks are independent, and each seeds its own Monte-Carlo streams. In
+    mcmc mode, where each task draws parameters, they run in a pool of
+    fork-started workers (see _pool_map); exact tasks cost about as much as
+    a round trip to a worker, so they run in this process. The result does
+    not depend on where they run. The winner is the model with the smallest
+    average RMSE over folds (ties go to the lexicographically first label).
     """
     if not candidates:
         raise ValueError("no candidate models")
@@ -156,18 +174,8 @@ def cross_validate(
     inputs = (fitted, data, split, mode, config)
     tasks = [(f, c) for f in range(len(split.folds)) for c in range(len(candidates))]
 
-    # imported here: every phase process would pay for the modules otherwise
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with ProcessPoolExecutor(
-            min(cpus, len(tasks)), multiprocessing.get_context("fork"),
-            initializer=_set_worker_inputs, initargs=inputs,
-        ) as pool:
-            predicted = list(pool.map(_fold_predictions, tasks))
-    else:
+    predicted = _pool_map(tasks, inputs) if mode == "mcmc" else None
+    if predicted is None:
         predicted = list(map(_fold_predictions, tasks, repeat(inputs)))
 
     results = []

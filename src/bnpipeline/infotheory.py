@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -62,15 +63,23 @@ def conditional_mutual_information(joint) -> float:
     return max(0.0, (hxz - hz) + (hyz - hz) - (hxyz - hz))
 
 
+def _normalized_cmi(hz: float, hxz: float, hyz: float, hxyz: float) -> float:
+    """2*CMI / (H(X|Z)+H(Y|Z)) from the four joint entropies, CMI clamped at
+    0. With hz = 0 (a constant Z) it is exactly the normalized MI."""
+    hx_z = hxz - hz
+    hy_z = hyz - hz
+    denom = hx_z + hy_z
+    if denom <= 0.0:
+        return 0.0
+    return 2.0 * max(0.0, hx_z + hy_z - (hxyz - hz)) / denom
+
+
 def normalized_mi(joint) -> float:
     """2*MI / (H(X)+H(Y)), the symmetric-uncertainty style score in [0,1]."""
     t = np.asarray(joint, dtype=float)
-    hx = entropy(t.sum(axis=1))
-    hy = entropy(t.sum(axis=0))
-    denom = hx + hy
-    if denom <= 0.0:
-        return 0.0
-    return 2.0 * mutual_information(t) / denom
+    if t.ndim != 2:
+        raise ValueError("expected a 2-D contingency table")
+    return _normalized_cmi(0.0, entropy(t.sum(axis=1)), entropy(t.sum(axis=0)), entropy(t))
 
 
 def normalized_cmi(joint) -> float:
@@ -83,13 +92,9 @@ def normalized_cmi(joint) -> float:
     if t.ndim < 3:
         raise ValueError("expected a table over (X, Y, Z...) with at least 3 axes")
     t = t.reshape(t.shape[0], t.shape[1], -1)
-    hz = entropy(t.sum(axis=(0, 1)))
-    hx_z = entropy(t.sum(axis=1)) - hz
-    hy_z = entropy(t.sum(axis=0)) - hz
-    denom = hx_z + hy_z
-    if denom <= 0.0:
-        return 0.0
-    return 2.0 * conditional_mutual_information(t) / denom
+    return _normalized_cmi(
+        entropy(t.sum(axis=(0, 1))), entropy(t.sum(axis=1)), entropy(t.sum(axis=0)), entropy(t)
+    )
 
 
 @dataclass(frozen=True)
@@ -130,33 +135,46 @@ def build_score_tables(
     names = list(variables) if variables is not None else list(data.schema.names)
     if len(names) < 2:
         raise ValueError("need at least 2 variables")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variables: {names}")
     for n in names:
         data.schema.index(n)  # raises on unknown names
 
+    # Float sums depend on element order, so every entropy is taken over a
+    # C-ordered table with its axes in the entry's own order: each score then
+    # equals normalized_mi/normalized_cmi of the entry's own contingency
+    # table. Marginal counts are exact integers, so H(c) and H(a,c) are
+    # shared. The sorts are on unique keys, so the order entries are made in
+    # does not reach the tables.
+    h = {c: entropy(contingency_table(data, (c,))) for c in names}
+    h2: dict[tuple[str, str], float] = {}
     mi_of: dict[tuple[str, str], float] = {}
     pairwise = []
-    for i, x in enumerate(names):
-        for y in names[i + 1 :]:
-            score = normalized_mi(contingency_table(data, (x, y)))
-            mi_of[(x, y)] = score
-            pairwise.append(ScoreEntry(x=x, y=y, z=None, mi_norm=score))
+    for x, y in combinations(names, 2):
+        table = contingency_table(data, (x, y))
+        h2[(x, y)] = entropy(table)
+        h2[(y, x)] = entropy(table.T)
+        mi_of[(x, y)] = _normalized_cmi(0.0, h[x], h[y], h2[(x, y)])
+        pairwise.append(ScoreEntry(x=x, y=y, z=None, mi_norm=mi_of[(x, y)]))
     pairwise.sort(key=lambda e: (-e.mi_norm, e.x, e.y))
 
     triple = []
-    for i, x in enumerate(names):
-        for y in names[i + 1 :]:
-            for z in names:
-                if z == x or z == y:
-                    continue
-                cmi = normalized_cmi(contingency_table(data, (x, y, z)))
-                mi = mi_of[(x, y)]
-                delta = cmi - mi
-                triple.append(
-                    ScoreEntry(
-                        x=x, y=y, z=z, mi_norm=mi, cmi_norm=cmi,
-                        delta=delta, perc=_percent_gain(delta, mi),
-                    )
+    for a, b, c in combinations(names, 3):
+        table = contingency_table(data, (a, b, c))
+        # the entries (a,b|c), (a,c|b) and (b,c|a), each with its table's axes
+        for (x, y, z), axes in (
+            ((a, b, c), (0, 1, 2)), ((a, c, b), (0, 2, 1)), ((b, c, a), (1, 2, 0)),
+        ):
+            hxyz = entropy(np.ascontiguousarray(table.transpose(axes)))
+            cmi = _normalized_cmi(h[z], h2[(x, z)], h2[(y, z)], hxyz)
+            mi = mi_of[(x, y)]
+            delta = cmi - mi
+            triple.append(
+                ScoreEntry(
+                    x=x, y=y, z=z, mi_norm=mi, cmi_norm=cmi,
+                    delta=delta, perc=_percent_gain(delta, mi),
                 )
+            )
     triple.sort(key=lambda e: (-e.cmi_norm, e.x, e.y, e.z))
     delta_entries = sorted(triple, key=lambda e: (-e.perc, e.x, e.y, e.z))
 

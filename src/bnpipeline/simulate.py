@@ -25,7 +25,7 @@ def sample_dataset(
     same convention the fitted CPTs use).
     """
     rng = np.random.default_rng(seed)
-    records = np.zeros((n, len(schema.names)), dtype=np.int64)
+    records = np.zeros((n, len(schema.names)), dtype=np.int64, order="F")
     col = {name: i for i, name in enumerate(schema.names)}
     for node in topological_sort(dag):
         order = _parent_order(dag, schema, node)

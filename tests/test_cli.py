@@ -385,6 +385,32 @@ class TestExitCodes:
             lines = (workspace / "out" / f"sensitivity_{label}.csv").read_text().splitlines()
             assert len(lines) == 1 + 59
 
+    def test_family_table_over_the_cap_is_3(self, workspace, capsys):
+        # T with 16 five-state parents: 5^17 cells, a 6 TB count table
+        names = ["T"] + [f"X{i:02d}" for i in range(1, 20)]
+        schema = Schema(tuple(
+            VariableSpec(n, tuple("12345"), "target" if n == "T" else "predictor") for n in names
+        ))
+        rng = np.random.default_rng(6)
+        write_csv(Dataset(schema, rng.integers(0, 5, (300, 20))), workspace / "wide.csv")
+        write_schema(schema, workspace / "wide.schema")
+        write_structure(
+            Dag(schema.names, tuple((n, "T") for n in names[1:17])), workspace / "star.structure"
+        )
+        (workspace / "wide.ini").write_text(
+            CONFIG.format(min_mi=0.0, min_cmi=0.0, keep="", rhat="1.1")
+            .replace("tiny.csv", "wide.csv").replace("tiny.schema", "wide.schema")
+            .replace("learners = hc, chowliu, tan, naive, bd", "learners = naive")
+            .replace("user_structures = truth=truth.structure", "user_structures = star=star.structure"),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert run("learn", "--config", "wide.ini") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: family table of 'T' over 16 parents has 762939453125 cells, "
+            "over cap 10000000"
+        ]
+
 
 class TestConfigAndDataDefects:
     """Inputs that used to end in a traceback and exit 1, or pass silently."""

@@ -19,6 +19,7 @@ from bnpipeline.dataset import (
     UnknownState,
     VariableSpec,
     apply_thresholds,
+    contingency_table,
     discretize_equal_frequency,
     ingest_csv,
     make_split,
@@ -73,6 +74,70 @@ class TestSchema:
         assert numeric_state_values(spec).tolist() == [float(i) for i in range(1, 11)]
         spec2 = VariableSpec("T", ("lo", "mid", "hi"), "target")
         assert numeric_state_values(spec2).tolist() == [1.0, 2.0, 3.0]
+
+
+def three_var_schema():
+    return Schema((
+        VariableSpec("T", ("1", "2", "3"), "target"),
+        VariableSpec("U", ("a", "b")),
+        VariableSpec("V", ("p", "q", "r", "s")),
+    ))
+
+
+def add_at_table(records, cols, shape):
+    """Count table by np.add.at over the records' rows, independent of layout."""
+    table = np.zeros(shape, dtype=np.int64)
+    np.add.at(table, tuple(np.asarray(records)[:, c] for c in cols), 1)
+    return table
+
+
+def assert_column_major_read_only(data):
+    assert data.records.flags.f_contiguous
+    assert not data.records.flags.writeable
+
+
+class TestLayout:
+    """Records are column-major and read-only, and counts do not depend on
+    the layout of the array a Dataset was built from."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "empty"])
+    def test_contingency_table_matches_add_at(self, layout):
+        schema = three_var_schema()
+        rng = np.random.default_rng(11)
+        base = np.column_stack([
+            rng.integers(0, 3, 80), rng.integers(0, 2, 80), rng.integers(0, 4, 80),
+        ])
+        records = {
+            "C": np.ascontiguousarray(base),
+            "F": np.asfortranarray(base),
+            # every other row, and the columns of a wider reversed array
+            "sliced": np.column_stack([base[:, ::-1], base])[::2, 3:],
+            "empty": base[:0],
+        }[layout]
+        data = Dataset(schema, records)
+        assert_column_major_read_only(data)
+        for names in (("T",), ("U", "T"), ("T", "U", "V"), ("V", "T", "U"), ("V", "V")):
+            cols = [schema.index(n) for n in names]
+            shape = tuple(schema.cardinality(n) for n in names)
+            table = contingency_table(data, names)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, add_at_table(records, cols, shape))
+
+    def test_ingest_subset_and_select_keep_the_layout(self, tmp_path):
+        schema = three_var_schema()
+        rng = np.random.default_rng(12)
+        data = Dataset(schema, rng.integers(0, 2, size=(40, 3)))
+        write_csv(data, tmp_path / "d.csv")
+        loaded = ingest_csv(tmp_path / "d.csv", schema)
+        assert_column_major_read_only(loaded)
+        rows = [5, 0, 39, 5]
+        sub = loaded.subset(rows)
+        assert_column_major_read_only(sub)
+        assert np.array_equal(sub.records, data.records[rows])
+        picked = loaded.select_variables(["V", "T"])
+        assert_column_major_read_only(picked)
+        assert picked.schema.names == ("T", "V")
+        assert np.array_equal(picked.records, data.records[:, [0, 2]])
 
 
 # cells with embedded delimiters and quotes, and an extra column E

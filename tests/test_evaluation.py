@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -256,6 +257,25 @@ class TestWorkerPool:
         pooled = cross_validate(cands, data, split, mode=mode, config=config)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert cross_validate(cands, data, split, mode=mode, config=config) == pooled
+
+    @pytest.mark.parametrize("mode, config, pools", [
+        ("exact", None, 0),
+        ("mcmc", McmcConfig(seed=4, chains=2, sample_iters=40), 1),
+    ])
+    def test_only_tasks_that_draw_parameters_start_a_pool(self, monkeypatch, mode, config, pools):
+        started = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            started.append(args)
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        dag, data = small_problem(n=200, seed=5)
+        split = make_split(data.n_records, 0.25, 3, 0.12, seed=9)
+        cross_validate([CandidateModel("truth", dag)], data, split, mode=mode, config=config)
+        assert len(started) == pools
 
     def test_task_error_reaches_the_caller_with_its_class_and_message(self, monkeypatch):
         dag, data = small_problem()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bnpipeline.dataset import Dataset, Schema, VariableSpec
+from bnpipeline.dataset import Dataset, Schema, VariableSpec, contingency_table
 from bnpipeline.infotheory import (
     ScoreTable,
     build_score_tables,
@@ -210,7 +210,64 @@ def small_dataset(m=4, n=60, seed=1):
     return Dataset(schema, rng.integers(0, 3, size=(n, m)))
 
 
+@st.composite
+def score_problems(draw):
+    """A dataset of 2-6 variables with 2-6 states and 1-60 rows, some of its
+    columns constant, plus the variables to score in a drawn order."""
+    cards = draw(st.lists(st.integers(2, 6), min_size=2, max_size=6))
+    n = draw(st.integers(1, 60))
+    columns = []
+    for r in cards:
+        if draw(st.booleans()):
+            columns.append([draw(st.integers(0, r - 1))] * n)
+        else:
+            columns.append(draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)))
+    specs = [
+        VariableSpec(f"V{j}", tuple(str(k) for k in range(r)), "target" if j == 0 else "predictor")
+        for j, r in enumerate(cards)
+    ]
+    data = Dataset(Schema(tuple(specs)), np.array(columns, dtype=np.int64).T)
+    variables = draw(st.permutations(data.schema.names))
+    return data, variables[: draw(st.integers(2, len(variables)))]
+
+
+def reference_score_rows(data, names):
+    """Score rows from each entry's own contingency table, sorted as documented."""
+    mi = {}
+    for i, x in enumerate(names):
+        for y in names[i + 1 :]:
+            mi[(x, y)] = normalized_mi(contingency_table(data, (x, y)))
+    pairwise = sorted(((x, y, None, m, None, None, None) for (x, y), m in mi.items()),
+                      key=lambda r: (-r[3], r[0], r[1]))
+    triple = []
+    for (x, y), m in mi.items():
+        for z in names:
+            if z not in (x, y):
+                cmi = normalized_cmi(contingency_table(data, (x, y, z)))
+                delta = cmi - m
+                perc = 100.0 * delta / m if m > 0.0 else (math.inf if delta > 0.0 else 0.0)
+                triple.append((x, y, z, m, cmi, delta, perc))
+    return (
+        pairwise,
+        sorted(triple, key=lambda r: (-r[4], r[0], r[1], r[2])),
+        sorted(triple, key=lambda r: (-r[6], r[0], r[1], r[2])),
+    )
+
+
 class TestScoreTables:
+    @given(score_problems())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_every_score_equals_its_own_table_reference(self, problem):
+        data, names = problem
+        tables = build_score_tables(data, names)
+        for table, expected in zip(tables, reference_score_rows(data, names)):
+            rows = [(e.x, e.y, e.z, e.mi_norm, e.cmi_norm, e.delta, e.perc) for e in table.entries]
+            assert rows == expected
+
+    def test_duplicate_variables_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            build_score_tables(small_dataset(), ["T", "V1", "T"])
+
     def test_two_variable_counts(self):
         data = small_dataset(m=2)
         pairwise, triple, delta = build_score_tables(data)

@@ -304,7 +304,9 @@ class TestExportTraces:
         for pts in by_chain.values():
             xs = np.array([p[0] for p in pts])
             ys = np.array([p[1] for p in pts])
-            assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=0.01)
+            # the trapezoid rule by hand: np.trapezoid needs numpy 2
+            area = float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) / 2)
+            assert area == pytest.approx(1.0, abs=0.01)
 
 
 def averaged_mass_brute_force(network, stack, evidence, query):
