@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Schema, content_lines, contingency_table
+from .dataset import DataError, Dataset, Schema, content_lines, contingency_table, read_text
 from .infotheory import mutual_information
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -137,7 +137,7 @@ def parse_edge(text: str, where: str) -> tuple[str, str]:
 def read_structure(path: str | Path) -> Dag:
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
-    for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
+    for lineno, line in content_lines(read_text(path)):
         if line.startswith("node ") and "->" not in line:
             nodes.append(line[len("node ") :].strip())
         else:

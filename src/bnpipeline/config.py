@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dataset import content_lines
+from .dataset import DataError, content_lines, read_text
 from .mcmc import McmcConfig
 
 KNOWN_LEARNERS = ("hc", "chowliu", "tan", "naive", "bd")
@@ -240,7 +240,11 @@ def load_config(
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    cfg = parse_config_text(p.read_text(encoding="utf-8"), str(p))
+    try:
+        text = read_text(p)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    cfg = parse_config_text(text, str(p))
     if out_override is not None:
         cfg = replace(cfg, out_dir=out_override)
     if seed_override is not None:

@@ -12,7 +12,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -222,6 +221,15 @@ def content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def read_text(path: str | Path, encoding: str = "utf-8") -> str:
+    """The text of an input file, line ends untouched. Bytes the encoding
+    cannot decode are a DataError naming the file."""
+    try:
+        return Path(path).read_bytes().decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start} is not valid {encoding} ({exc.reason})") from None
+
+
 # ---------------------------------------------------------------------------
 # schema files
 #
@@ -231,7 +239,7 @@ def content_lines(text: str) -> list[tuple[int, str]]:
 
 def read_schema(path: str | Path) -> Schema:
     specs = []
-    for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
+    for lineno, line in content_lines(read_text(path)):
         if ":" not in line:
             raise SchemaError(f"{path}:{lineno}: expected 'name : states'")
         name, rest = line.split(":", 1)
@@ -264,52 +272,205 @@ def write_schema(schema: Schema, path: str | Path) -> None:
 def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = None) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
+    The dialect: cells are split on the delimiter; rows end at LF, CRLF or a
+    lone CR; an empty line is a row of no cells; a last line without a line
+    end is still a row. A cell holding a quote must be quoted whole, with
+    each inner quote doubled; anything else is a DataError naming the row
+    ("malformed quoting", or "unterminated quoted field" for a quote still
+    open at the end of the file). No cell has a size limit. Bytes the
+    encoding cannot decode are a DataError naming the file.
+
     Columns are matched to schema variables by header name, in any order.
     Columns not named in the schema are skipped with a warning. Any cell
     that is not a declared state of its variable is an error; there is no
-    missing-value handling. The rows are read whole, transposed, and encoded
-    one column at a time. The error reported is at the first offending row
-    in the file: its width if that is wrong, or else its first unknown state
-    in schema order.
+    missing-value handling. The text is split into cells by one vectorized
+    pass, and each column is encoded by a sorted-label search over at most
+    the longest label's length of each cell. The error reported is at the
+    first offending row in the file: its quoting if that is broken, else its
+    width if that is wrong, else its first unknown state in schema order.
     """
     opts = options or CsvOptions()
-    with open(path, newline="", encoding=opts.encoding) as fh:
-        reader = csv.reader(fh, delimiter=opts.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        col_of: dict[str, int] = {}
-        for j, name in enumerate(header):
-            if name in col_of:
-                raise DataError(f"{path}: duplicate column {name!r}")
-            col_of[name] = j
-        for name in schema.names:
-            if name not in col_of:
-                raise MissingColumn(f"{path}: no column for variable {name!r}")
-        extra = [name for name in header if name not in set(schema.names)]
-        if extra:
-            warnings.warn(f"{path}: ignoring columns {extra}", stacklevel=2)
-        rows = list(reader)
+    text = read_text(path, opts.encoding)
+    if not text:
+        raise DataError(f"{path}: empty file")
+    cells = _CsvCells(text, opts.delimiter)
+    del text
+    if cells.fault is not None and cells.fault[0] == 0:
+        raise DataError(f"{path}: header row: {cells.fault[1]}")
+    header = [cells.value(c) for c in range(cells.first[1])]
+    col_of: dict[str, int] = {}
+    for j, name in enumerate(header):
+        if name in col_of:
+            raise DataError(f"{path}: duplicate column {name!r}")
+        col_of[name] = j
+    for name in schema.names:
+        if name not in col_of:
+            raise MissingColumn(f"{path}: no column for variable {name!r}")
+    extra = [name for name in header if name not in set(schema.names)]
+    if extra:
+        warnings.warn(f"{path}: ignoring columns {extra}", stacklevel=2)
 
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    ragged = np.flatnonzero(widths != len(header))
-    n = int(ragged[0]) if ragged.size else len(rows)
-    columns = list(zip(*rows[:n])) or [()] * len(header)
-    del rows  # the columns hold every cell now
+    widths = np.diff(cells.first)
+    ragged = np.flatnonzero(widths[1:] != len(header)) + 1
+    bad_row = int(ragged[0]) if ragged.size else widths.size
+    if cells.fault is not None:
+        bad_row = min(bad_row, cells.fault[0])  # at the same row, quoting wins
+    n = bad_row - 1  # data rows 1..n are whole and well quoted
+    top, width = int(cells.first[1]), len(header)  # row r's cell j is top + (r - 1) * width + j
     records = np.empty((n, len(schema.names)), dtype=np.int64, order="F")
     for j, spec in enumerate(schema.variables):
-        table = {label: k for k, label in enumerate(spec.states)}
-        column = columns[col_of[spec.name]]
-        records[:, j] = np.fromiter(map(table.get, column, repeat(-1)), dtype=np.int64, count=n)
+        records[:, j] = cells.encode(slice(top + col_of[spec.name], top + n * width, width), spec.states)
     unknown = np.flatnonzero((records < 0).any(axis=1))
     if unknown.size:
         row = int(unknown[0])
         name = schema.names[int(np.argmax(records[row] < 0))]
-        raise UnknownState(name, columns[col_of[name]][row], row + 1)
-    if n < len(widths):
-        raise DataError(f"{path}: row {n + 1} has {widths[n]} cells, expected {len(header)}")
+        raise UnknownState(name, cells.value(top + row * width + col_of[name]), row + 1)
+    if cells.fault is not None and cells.fault[0] == bad_row:
+        raise DataError(f"{path}: row {bad_row}: {cells.fault[1]}")
+    if bad_row < widths.size:
+        raise DataError(f"{path}: row {bad_row} has {widths[bad_row]} cells, expected {len(header)}")
     return Dataset(schema, records)
+
+
+_QUOTE, _LF, _CR = ord('"'), ord("\n"), ord("\r")
+
+
+class _CsvCells:
+    """The cells of a decoded CSV text, split by one pass of numpy over its
+    code units: the UTF-8 bytes when the delimiter is ASCII (no multi-byte
+    sequence holds an ASCII byte), else the UTF-32 code points.
+
+    Quote parity is a running xor of the quote mask; delimiters and line
+    ends count only outside quotes. Cell c spans units start[c] up to
+    start[c] + length[c] (a quoted cell's span is its inside); row r holds
+    cells first[r] up to first[r + 1]. A cell quoted whole with no quote
+    inside is unquoted in numpy; only the other cells holding a quote are
+    visited one by one. One whose value is not a span of the text (it had
+    doubled quotes) keeps the value in `unescaped` and gets length -1. `fault`
+    is (row, message) of the first cell whose quoting breaks RFC-4180, or
+    None; cells after it are left as split.
+    """
+
+    def __init__(self, text: str, delimiter: str):
+        self._codec = "utf-8" if ord(delimiter) < 128 else "utf-32-le"
+        self._bytes = text.encode(self._codec)
+        self.units = units = np.frombuffer(self._bytes, dtype=np.uint8 if self._codec == "utf-8" else "<u4")
+        size = units.size
+        pos_type = np.int32 if size < 2**31 - 1 else np.int64
+
+        ends = units == _LF
+        cr = units == _CR
+        crlf = None
+        if cr.any():
+            crlf = np.zeros(size, dtype=bool)  # the LF of each CRLF; its CR is in no cell
+            np.logical_and(ends[1:], cr[:-1], out=crlf[1:])
+            cr[:-1] &= ~ends[1:]  # a lone CR ends a line too
+            ends |= cr
+        del cr
+        sep = units == ord(delimiter)
+        sep |= ends
+        quote = np.zeros(size + 1, dtype=bool)  # one past the end, for an empty last cell
+        np.equal(units, _QUOTE, out=quote[:-1])
+        if quote.any():
+            sep &= ~np.logical_xor.accumulate(quote[:-1])  # parity: True inside quotes
+        else:
+            quote = None
+        cut = np.flatnonzero(sep)  # where each cell ends
+        del sep
+        is_end = ends[cut]
+        drop = np.zeros(cut.size, dtype=bool) if crlf is None else crlf[cut]
+        del ends, crlf
+        if not (cut.size and cut[-1] == size - 1 and is_end[-1]):
+            # the last line has no line end; close it at the end of the text
+            cut = np.append(cut, size)
+            is_end = np.append(is_end, True)
+            drop = np.append(drop, False)
+        start = np.empty(cut.size, dtype=pos_type)
+        start[0] = 0
+        start[1:] = cut[:-1]
+        start[1:] += 1
+        length = cut.astype(pos_type)
+        length -= start
+        length -= drop
+        del cut, drop
+        last = np.flatnonzero(is_end)  # each row's last cell
+        widths = np.diff(last, prepend=-1)
+        blank = (widths == 1) & (length[last] == 0)  # an empty line has no cell
+        if blank.any():
+            widths -= blank
+            keep = np.ones(start.size, dtype=bool)
+            keep[last[blank]] = False
+            start, length = start[keep], length[keep]
+        self.first = np.zeros(widths.size + 1, dtype=np.int64)
+        np.cumsum(widths, out=self.first[1:])
+        self.start, self.length = start, length
+        self.unescaped: dict[int, str] = {}
+        self.fault: tuple[int, str] | None = None
+        if quote is not None:
+            self._unquote(quote)
+
+    def _unquote(self, quote: np.ndarray) -> None:
+        start, length = self.start, self.length
+        # quotes per cell, counted up to the next cell's start: none lie between
+        count = np.add.reduceat(quote, start, dtype=start.dtype)
+        plain = (count == 2) & (length >= 2) & quote[start] & quote[start + length - 1]
+        strip = np.flatnonzero(plain)  # "..." with no quote inside
+        start[strip] += 1
+        length[strip] -= 2
+        for c in np.flatnonzero((count > 0) & ~plain).tolist():
+            raw = self._span(c)  # holds a quote; every run of quotes inside must be even
+            if len(raw) > 1 and raw[0] == raw[-1] == '"' and '"' not in raw[1:-1].replace('""', ""):
+                self.unescaped[c] = raw[1:-1].replace('""', '"')
+                length[c] = -1
+                continue
+            still_open = raw[0] == '"' and '"' not in raw[1:].replace('""', "")
+            row = int(np.searchsorted(self.first, c, side="right")) - 1
+            self.fault = (row, "unterminated quoted field" if still_open else "malformed quoting")
+            return
+
+    def _span(self, c: int) -> str:
+        unit = self.units.itemsize
+        s = int(self.start[c]) * unit
+        return self._bytes[s : s + int(self.length[c]) * unit].decode(self._codec)
+
+    def value(self, c: int) -> str:
+        return self.unescaped[c] if c in self.unescaped else self._span(c)
+
+    def encode(self, cells: slice, states: Sequence[str]) -> np.ndarray:
+        """Index in states of the value of each cell in a slice, or -1.
+
+        Each cell is gathered up to the longest label's length and padded to
+        whole 64-bit words with a unit no text holds (0xFF is no UTF-8 byte,
+        0xFFFFFFFF no code point), and so is each label; a search over the
+        sorted labels finds it. So neither a NUL nor a prefix aliases a label,
+        and a longer cell costs no more."""
+        units = self.units
+        pad = np.iinfo(units.dtype).max
+        coded = [np.frombuffer(s.encode(self._codec), dtype=units.dtype) for s in states]
+        width = max(map(len, coded))
+        row = -(-width * units.itemsize // 8) * 8 // units.itemsize  # units per key
+        key_type = np.uint64 if row * units.itemsize == 8 else f"S{row * units.itemsize}"
+        labels = np.full((len(coded), row), pad, dtype=units.dtype)
+        for k, label in enumerate(coded):
+            labels[k, : label.size] = label
+        labels = labels.view(key_type).ravel()
+        order = np.argsort(labels)
+        labels = labels[order]
+
+        start = self.start[cells]
+        length = self.length[cells]
+        keys = np.full((start.size, row), pad, dtype=units.dtype)
+        for i in range(width):
+            column = keys[:, i]
+            np.take(units, start + i, out=column, mode="clip")
+            column[length <= i] = pad
+        keys = keys.view(key_type).ravel()
+        k = np.minimum(np.searchsorted(labels, keys), len(coded) - 1)
+        codes = np.where((labels[k] == keys) & (length <= width), order[k], -1)
+        for i in np.flatnonzero(length < 0).tolist():  # cells with doubled quotes
+            value = self.unescaped[cells.start + i * cells.step]
+            codes[i] = states.index(value) if value in states else -1
+        return codes
 
 
 def write_csv(data: Dataset, path: str | Path, options: CsvOptions | None = None) -> None:

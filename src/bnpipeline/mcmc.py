@@ -311,7 +311,13 @@ def gelman_rubin(traces: TraceSet) -> dict[str, float]:
     return out
 
 
+_KDE_BLOCK_CELLS = 1 << 16  # grid x draws cells summed at a time
+
+
 def _kde(samples: np.ndarray, grid_points: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian kernel density on a grid, Silverman's bandwidth. The grid is
+    summed a block of rows at a time; each row's sum is the same as over the
+    whole grid x draws matrix at once."""
     s = np.asarray(samples, dtype=float)
     n = s.size
     std = float(s.std())
@@ -320,8 +326,12 @@ def _kde(samples: np.ndarray, grid_points: int = 256) -> tuple[np.ndarray, np.nd
     else:
         bw = std * (4.0 / (3.0 * n)) ** 0.2
     grid = np.linspace(s.min() - 4.0 * bw, s.max() + 4.0 * bw, grid_points)
-    z = (grid[:, None] - s[None, :]) / bw
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (n * bw * math.sqrt(2.0 * math.pi))
+    dens = np.empty(grid_points)
+    rows = max(1, _KDE_BLOCK_CELLS // n)
+    for lo in range(0, grid_points, rows):
+        z = (grid[lo : lo + rows, None] - s[None, :]) / bw
+        dens[lo : lo + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    dens /= n * bw * math.sqrt(2.0 * math.pi)
     return grid, dens
 
 

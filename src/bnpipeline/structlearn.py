@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bayesnet import Dag, GraphError, family_counts, parse_edge
-from .dataset import DataError, Dataset, content_lines, contingency_table
+from .dataset import DataError, Dataset, content_lines, contingency_table, read_text
 from .infotheory import conditional_mutual_information, mutual_information
 from .modelselect import local_log_marginal_likelihood
 
@@ -58,7 +58,7 @@ def read_constraints(path: str | Path) -> EdgeConstraints:
     """Constraint file: lines `require A -> B` and `forbid A -> B`. Constraints
     that contradict each other are a DataError naming the file."""
     edges: dict[str, list[tuple[str, str]]] = {"require": [], "forbid": []}
-    for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
+    for lineno, line in content_lines(read_text(path)):
         kind = line.split()[0]
         if kind not in edges:
             raise DataError(f"{path}:{lineno}: expected 'require A -> B' or 'forbid A -> B'")
@@ -71,7 +71,7 @@ def read_constraints(path: str | Path) -> EdgeConstraints:
 
 def read_orientation(path: str | Path) -> list[tuple[str, str]]:
     """Orientation file: one `A -> B` line per skeleton edge."""
-    lines = content_lines(Path(path).read_text(encoding="utf-8"))
+    lines = content_lines(read_text(path))
     return [parse_edge(line, f"{path}:{lineno}") for lineno, line in lines]
 
 

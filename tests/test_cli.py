@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -459,3 +461,36 @@ class TestConfigAndDataDefects:
         assert run("select", "--config", "pipeline.ini") == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error: tiny.csv")
+
+    @pytest.mark.parametrize("name, code, prefix", [
+        ("tiny.csv", 3, "data error: tiny.csv: byte "),
+        ("tiny.schema", 3, "data error: tiny.schema: byte "),
+        ("pipeline.ini", 2, "config error: pipeline.ini: byte "),
+    ], ids=["csv", "schema", "config"])
+    def test_undecodable_byte_exits_with_one_line(self, workspace, capsys, name, code, prefix):
+        path = workspace / name
+        text = path.read_bytes()
+        cut = text.index(b"\n") + 1
+        path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        assert run("select", "--config", "pipeline.ini") == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix) and "utf-8" in err[0]
+
+    def test_oversized_cell_is_an_unknown_state(self, workspace, capsys):
+        # 200,000 characters: over csv.reader's 131,072-character field limit
+        lines = (workspace / "tiny.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[0] = "1" * 200_000
+        lines[5] = ",".join(cells)
+        (workspace / "tiny.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert run("select", "--config", "pipeline.ini") == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: row 5: value '1111")
+        assert err[0].endswith("is not a state of 'T'")
+        # one byte per row and cell character would be 240 x 200,000 = 48 MB
+        assert peak < 8_000_000

@@ -150,15 +150,22 @@ PARITY_SCHEMA = Schema((
 
 @st.composite
 def csv_cases(draw):
-    """(header, rows, delimiter): a header-only file when rows is empty; cells
-    are mostly valid, with unknown states and ragged rows mixed in."""
+    """(header, rows, delimiter, line terminator, quoting): a header-only file
+    when rows is empty; cells are mostly valid, with unknown states and ragged
+    rows mixed in."""
     header = list(draw(st.permutations(draw(st.sampled_from((("A", "B"), ("A", "B", "E")))))))
     row = st.tuples(
         *(st.sampled_from(PARITY_STATES[name] * 3 + ("bad",)) for name in header)
     ).map(list)
     ragged = st.lists(st.sampled_from(("x", "y", "a,b", "")), max_size=len(header) + 1)
     rows = draw(st.lists(st.one_of(row, row, row, ragged), max_size=6))
-    return header, rows, draw(st.sampled_from((",", ";")))
+    return (
+        header,
+        rows,
+        draw(st.sampled_from((",", ";"))),
+        draw(st.sampled_from(("\n", "\r\n", "\r"))),
+        draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL))),
+    )
 
 
 def reference_outcome(path, delimiter):
@@ -331,12 +338,85 @@ class TestIngest:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(case=csv_cases())
     def test_matches_row_by_row_reference(self, parity_dir, case):
-        header, rows, delimiter = case
+        header, rows, delimiter, terminator, quoting = case
         path = parity_dir / "d.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows([header, *rows])
+            writer = csv.writer(fh, delimiter=delimiter, lineterminator=terminator, quoting=quoting)
+            writer.writerows([header, *rows])
         assert ingest_outcome(path, delimiter) == reference_outcome(path, delimiter)
 
+
+    @pytest.mark.parametrize("body, fault", [
+        ('x,y\nx,a"b\nx,y\n', "malformed quoting"),  # a quote inside an unquoted cell
+        ('x,y\n"x"z,y\nx,y\n', "malformed quoting"),  # text after the closing quote
+        ('x,y\nx,a"y"\nx,y\n', "malformed quoting"),  # a quoted tail on an unquoted cell
+        ('x,y\nx,"y\nx,y\n', "unterminated quoted field"),  # open to the end of the file
+    ], ids=["quote_in_unquoted_cell", "text_after_closing_quote", "quoted_tail", "unterminated"])
+    def test_malformed_quoting_names_the_row(self, tmp_path, body, fault):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\n" + body, encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 2: {fault}")) as err:
+            ingest_csv(path, two_var_schema())
+        assert not isinstance(err.value, UnknownState)
+
+    def test_malformed_quoting_in_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"A"B,B\nx,y\n', encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: header row: malformed quoting")):
+            ingest_csv(path, two_var_schema())
+
+    def test_first_offending_row_wins_over_quoting(self, tmp_path):
+        # an unknown state in row 2 comes before the broken quote in row 3
+        path = tmp_path / "d.csv"
+        path.write_text('A,B\nx,y\nq,y\nx,"y\n', encoding="utf-8")
+        with pytest.raises(UnknownState) as err:
+            ingest_csv(path, two_var_schema())
+        assert (err.value.variable, err.value.value, err.value.row) == ("A", "q", 2)
+        # a row both ragged and badly quoted reports its quoting
+        path.write_text('A,B\nx,y\nx,y"z,w\n', encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 2: malformed quoting")):
+            ingest_csv(path, two_var_schema())
+
+    @pytest.mark.parametrize("cell", ["1\x00", "12", "\x001", '"1\x00"', "", '""'])
+    def test_cell_extending_or_shortening_a_label_is_unknown(self, tmp_path, cell):
+        schema = Schema((VariableSpec("A", ("1", "2"), "target"), VariableSpec("B", ("y", "w"))))
+        path = tmp_path / "d.csv"
+        path.write_text(f"A,B\n1,y\n{cell},w\n", encoding="utf-8")
+        with pytest.raises(UnknownState) as err:
+            ingest_csv(path, schema)
+        value = cell[1:-1] if cell.startswith('"') else cell
+        assert (err.value.variable, err.value.value, err.value.row) == ("A", value, 2)
+
+    def test_labels_differing_by_a_trailing_nul(self, tmp_path):
+        schema = Schema((VariableSpec("A", ("1\x00", "1"), "target"), VariableSpec("B", ("y", "w"))))
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\n1,y\n1\x00,w\n", encoding="utf-8")
+        assert ingest_csv(path, schema).records.tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("delimiter", [",", "\u00a6"])
+    def test_non_ascii_labels_and_delimiter(self, tmp_path, delimiter):
+        # an ASCII delimiter scans UTF-8 bytes, any other one code points; a
+        # label over 8 bytes (or 2 code points) spans more than one key word
+        long = "\u65e5\u672c\u8a9e\u306e\u30e9\u30d9\u30eb"
+        schema = Schema((
+            VariableSpec("\u00c9T", ("\u00e9", long, "e"), "target"),
+            VariableSpec("B", ("y", 'w\u00a6"v', "\U0001f600")),
+        ))
+        rows = [["\u00e9", "y"], ["e", 'w\u00a6"v'], [long, "\U0001f600"]]
+        path = tmp_path / "d.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, delimiter=delimiter).writerows([["B", "\u00c9T"]] + [r[::-1] for r in rows])
+        data = ingest_csv(path, schema, CsvOptions(delimiter=delimiter))
+        assert data.records.tolist() == [[0, 0], [2, 1], [1, 2]]
+
+    def test_blank_lines_and_line_ends(self, tmp_path):
+        # LF, CRLF and a lone CR end rows; a blank line is a row of no cells
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'A,B\r\nx,y\rz,"w"\nx,y')
+        assert ingest_csv(path, two_var_schema()).records.tolist() == [[0, 0], [1, 1], [0, 0]]
+        path.write_bytes(b"A,B\nx,y\n\r\nx,y\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 2 has 0 cells, expected 2")):
+            ingest_csv(path, two_var_schema())
 
 
 class TestDiscretize:

@@ -9,6 +9,7 @@ from bnpipeline.bayesnet import Cpt, Dag, FittedNetwork, fit_conjugate
 from bnpipeline.bayesnet import eliminate
 from bnpipeline.dataset import Dataset, Schema, VariableSpec
 from bnpipeline.mcmc import (
+    _KDE_BLOCK_CELLS,
     ConstantChain,
     McmcConfig,
     PosteriorPredictive,
@@ -20,6 +21,7 @@ from bnpipeline.mcmc import (
     summarize_distribution,
     write_predictions,
 )
+from bnpipeline.mcmc import _kde
 from bnpipeline.simulate import sample_dataset
 from test_bayesnet import random_network
 
@@ -404,3 +406,28 @@ class TestSamplerReference:
                 for j, row in enumerate(post):
                     want[:, j, :] = rng.dirichlet(row, size=30)
                 assert np.array_equal(traces.draws[node][chain], want)
+
+
+def one_shot_kde(samples, grid_points=256):
+    """The density over the whole grid x draws matrix at once."""
+    s = np.asarray(samples, dtype=float)
+    n = s.size
+    std = float(s.std())
+    bw = max(abs(float(s[0])), 1.0) * 1e-9 if std == 0.0 else std * (4.0 / (3.0 * n)) ** 0.2
+    grid = np.linspace(s.min() - 4.0 * bw, s.max() + 4.0 * bw, grid_points)
+    z = (grid[:, None] - s[None, :]) / bw
+    return grid, np.exp(-0.5 * z * z).sum(axis=1) / (n * bw * math.sqrt(2.0 * math.pi))
+
+
+class TestKde:
+    @pytest.mark.parametrize("samples", [
+        np.random.default_rng(50).beta(2.0, 5.0, _KDE_BLOCK_CELLS + 4_464),  # one row a block
+        np.random.default_rng(51).normal(0.3, 0.1, 3_000),  # 21 rows a block, a short last one
+        np.random.default_rng(52).gamma(3.0, 1.0, 2_000),  # the demo's draws per chain
+        np.full(500, 0.25),  # a constant chain
+    ], ids=["longer_than_a_block", "uneven_blocks", "demo_sized", "constant"])
+    def test_blocks_equal_the_one_shot_sum(self, samples):
+        grid, dens = _kde(samples)
+        want_grid, want_dens = one_shot_kde(samples)
+        assert np.array_equal(grid, want_grid)
+        assert np.array_equal(dens, want_dens)

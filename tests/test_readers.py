@@ -26,6 +26,14 @@ def test_malformed_edge_line_names_file_and_line(tmp_path, reader, line):
         reader(path)
 
 
+@pytest.mark.parametrize("reader", [read_schema, read_structure, read_constraints, read_orientation])
+def test_undecodable_byte_names_the_file(tmp_path, reader):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"# \xff\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: byte 2 is not valid utf-8")):
+        reader(path)
+
+
 def _from_file(read):
     def call(text, path):
         path.write_text(text, encoding="utf-8")
