@@ -6,7 +6,8 @@ run can be audited or rerun in isolation. All randomness flows from the
 configured seed; reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including a query
-over the inference cost cap), 4 convergence diagnostic failure.
+over the inference cost cap), 4 convergence diagnostic failure (including a
+monitored parameter whose draws do not vary within a chain).
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, bayesnet.EnumerationTooLarge) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except DiagnosticFailure as exc:
+    except (DiagnosticFailure, mcmc.ConstantChain) as exc:
         print(f"diagnostic failure: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -31,8 +31,17 @@ class MissingColumn(DataError):
 
 
 class UnknownState(DataError):
+    """A cell that is not a state label; the message shows at most the first
+    SHOWN characters of it, followed by its length."""
+
+    SHOWN = 40
+
     def __init__(self, variable: str, value: str, row: int):
-        super().__init__(f"row {row}: value {value!r} is not a state of {variable!r}")
+        if len(value) <= self.SHOWN:
+            shown = repr(value)
+        else:
+            shown = f"{value[:self.SHOWN]!r}... ({len(value)} characters)"
+        super().__init__(f"row {row}: value {shown} is not a state of {variable!r}")
         self.variable = variable
         self.value = value
         self.row = row
@@ -577,16 +586,15 @@ def make_split(
         )
     pool = rng.permutation(train_idx)
     folds = tuple(
-        tuple(int(i) for i in np.sort(pool[f * fold_size : (f + 1) * fold_size]))
-        for f in range(fold_count)
+        tuple(np.sort(pool[f * fold_size : (f + 1) * fold_size]).tolist()) for f in range(fold_count)
     )
     return SplitPlan(
         seed=seed,
         test_fraction=test_fraction,
         fold_count=fold_count,
         fold_size=fold_size,
-        train_idx=tuple(int(i) for i in train_idx),
-        test_idx=tuple(int(i) for i in test_idx),
+        train_idx=tuple(train_idx.tolist()),
+        test_idx=tuple(test_idx.tolist()),
         folds=folds,
     )
 

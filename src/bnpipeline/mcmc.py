@@ -3,13 +3,14 @@
 With categorical nodes and Dirichlet priors the parameter posterior is an
 independent Dirichlet per CPT row, so the sampler draws exact independent
 samples per chain. Such draws need no warm-up and no thinning: each chain
-draws only the rows it keeps. A node's draws of all chains fill one
-(configs, states, chains * kept) buffer, chain after chain, which is the
-layout bayesnet.eliminate gathers from; traces and diagnostics read views of
-it.
+draws only the rows it keeps, into a (configs, states, kept) destination per
+node, which is the layout bayesnet.eliminate gathers from. For traces and
+diagnostics the destinations are the chains' slices of one (configs, states,
+chains * kept) buffer per node, since r-hat needs every chain at once.
 Predictive distributions come from bayesnet.eliminate (variable elimination),
-at the posterior mean in exact mode and over the buffered draws in
-Monte-Carlo mode.
+at the posterior mean in exact mode and, in Monte-Carlo mode, over one
+chain's draws at a time: prediction holds a single chain's draws, whatever
+the number of chains.
 """
 
 from __future__ import annotations
@@ -110,11 +111,8 @@ def _chain_rng(seed: int, chain: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain, stream)))
 
 
-def _draw_buffers(
-    network: FittedNetwork, nodes: Sequence[str], config: McmcConfig
-) -> dict[str, np.ndarray]:
-    """Empty (configs, states, chains * kept) draw buffer of each node."""
-    width = config.chains * config.kept_per_chain
+def _draw_buffers(network: FittedNetwork, nodes: Sequence[str], width: int) -> dict[str, np.ndarray]:
+    """Empty (configs, states, width) draw buffer of each node."""
     return {n: np.empty(network.cpts[n].posterior.shape + (width,)) for n in nodes}
 
 
@@ -123,8 +121,8 @@ def _draw_chain(
     buffers: Mapping[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """kept_per_chain exact Dirichlet draws of every CPT row of each requested
-    node, written into the chain's columns of the node's buffer and returned
-    as (kept, configs, states) views.
+    node, written into the node's (configs, states, kept) destination in
+    buffers and returned as (kept, configs, states) views of it.
 
     One rng.dirichlet call per row: its C loop is faster than one
     standard_gamma call over the node's posterior normalized in numpy, and
@@ -134,7 +132,7 @@ def _draw_chain(
     kept = config.kept_per_chain
     out = {}
     for node in nodes:
-        dest = buffers[node][:, :, chain * kept : (chain + 1) * kept]
+        dest = buffers[node]
         for j, row in enumerate(network.cpts[node].posterior):
             dest[j] = rng.dirichlet(row, size=kept).T
         out[node] = dest.transpose(2, 0, 1)
@@ -151,10 +149,12 @@ def sample_parameters(
     for n in monitored:
         if n not in network.cpts:
             raise ValueError(f"unknown node {n!r}")
-    buffers = _draw_buffers(network, monitored, config)
+    kept = config.kept_per_chain
+    buffers = _draw_buffers(network, monitored, config.chains * kept)
     draws: dict[str, list[np.ndarray]] = {n: [] for n in monitored}
     for chain in range(config.chains):
-        for n, view in _draw_chain(network, monitored, config, chain, 0, buffers).items():
+        columns = {n: buf[:, :, chain * kept : (chain + 1) * kept] for n, buf in buffers.items()}
+        for n, view in _draw_chain(network, monitored, config, chain, 0, columns).items():
             draws[n].append(view)
     dims = {n: network.cpts[n].posterior.shape for n in monitored}
     return TraceSet(dims, draws)
@@ -181,7 +181,10 @@ def predictive_probs(
     joint mass of each (target state, evidence) is averaged over simulated
     parameter draws and normalized once, which converges to the exact
     conditional as draws grow. Both sum the unobserved variables out by
-    variable elimination, in one bayesnet.eliminate call.
+    variable elimination in bayesnet.eliminate: exact mode in one call,
+    Monte-Carlo mode in one call per chain, whose draws refill the same
+    (configs, states, kept) buffers, so prediction holds one chain's draws
+    at a time. The chains' masses are summed, then normalized.
     """
     if mode not in ("exact", "mcmc"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -200,7 +203,8 @@ def predictive_probs(
         raise ValueError(f"unknown evidence state {records[row, col]} for {schema.names[col]!r}")
 
     if mode == "exact":
-        params = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
+        mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
+        mass = eliminate(network, mean, records, (tgt,), max_states)
     else:
         if config is None:
             raise ValueError("mcmc mode needs an McmcConfig")
@@ -213,11 +217,11 @@ def predictive_probs(
             for node in network.dag.nodes
             if maybe_hidden & set(network.cpts[node].parent_order + (node,))
         ]
-        buffers = _draw_buffers(network, needed, config)
+        buffers = _draw_buffers(network, needed, config.kept_per_chain)
+        mass = 0.0
         for chain in range(config.chains):
-            _draw_chain(network, needed, config, chain, 1, buffers)
-        params = {node: buf.transpose(2, 0, 1) for node, buf in buffers.items()}
-    mass = eliminate(network, params, records, (tgt,), max_states)
+            draws = _draw_chain(network, needed, config, chain, 1, buffers)
+            mass = mass + eliminate(network, draws, records, (tgt,), max_states)
     return mass / mass.sum(axis=1, keepdims=True)
 
 
@@ -316,8 +320,10 @@ _KDE_BLOCK_CELLS = 1 << 16  # grid x draws cells summed at a time
 
 def _kde(samples: np.ndarray, grid_points: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density on a grid, Silverman's bandwidth. The grid is
-    summed a block of rows at a time; each row's sum is the same as over the
-    whole grid x draws matrix at once."""
+    summed a block of rows at a time, in place in one block buffer; each
+    row's sum is the same as over the whole grid x draws matrix at once.
+    Reusing the buffer keeps the blocks off the allocator: freed blocks of
+    this size can go back to the OS and fault in again for the next one."""
     s = np.asarray(samples, dtype=float)
     n = s.size
     std = float(s.std())
@@ -328,9 +334,14 @@ def _kde(samples: np.ndarray, grid_points: int = 256) -> tuple[np.ndarray, np.nd
     grid = np.linspace(s.min() - 4.0 * bw, s.max() + 4.0 * bw, grid_points)
     dens = np.empty(grid_points)
     rows = max(1, _KDE_BLOCK_CELLS // n)
+    buffer = np.empty((min(rows, grid_points), n))
     for lo in range(0, grid_points, rows):
-        z = (grid[lo : lo + rows, None] - s[None, :]) / bw
-        dens[lo : lo + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+        z = buffer[: min(rows, grid_points - lo)]
+        np.subtract(grid[lo : lo + rows, None], s[None, :], out=z)
+        z /= bw
+        np.square(z, out=z)
+        z *= -0.5
+        dens[lo : lo + rows] = np.exp(z, out=z).sum(axis=1)
     dens /= n * bw * math.sqrt(2.0 * math.pi)
     return grid, dens
 

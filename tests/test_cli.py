@@ -284,6 +284,20 @@ class TestExitCodes:
         # outputs are still written for inspection before the failure exit
         assert (workspace / "out" / "rhat.csv").is_file()
 
+    def test_constant_chain_is_4(self, workspace, capsys):
+        # at alpha0 = 1e-9 a state a family row never saw gets a posterior
+        # pseudo-count of 1e-9, and its draws underflow to exactly 0
+        cfg = (workspace / "pipeline.ini").read_text()
+        cfg = cfg.replace("[predict]", "[predict]\nmodel = tan").replace("[mcmc]", "[mcmc]\nmonitor = T, P, Q, R")
+        (workspace / "constant.ini").write_text(cfg + "\n[model]\nalpha0 = 1e-9\n", encoding="utf-8")
+        for cmd in ("select", "learn"):
+            assert run(cmd, "--config", "constant.ini") == 0
+        capsys.readouterr()
+        assert run("fit-predict", "--config", "constant.ini") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("diagnostic failure: parameter ")
+        assert err[0].endswith(" has zero within-chain variance")
+
     def test_bad_hist_bins_is_2(self, workspace):
         cfg = (workspace / "pipeline.ini").read_text().replace(
             "[selection]", "[selection]\nhist_bins = 0"
@@ -494,3 +508,20 @@ class TestConfigAndDataDefects:
         assert err[0].endswith("is not a state of 'T'")
         # one byte per row and cell character would be 240 x 200,000 = 48 MB
         assert peak < 8_000_000
+
+    @pytest.mark.parametrize("cell, shown", [
+        ("9", "'9'"),
+        ("9" * 40, repr("9" * 40)),
+        ("9" * 41, repr("9" * 40) + "... (41 characters)"),
+        ("9" * 200_000, repr("9" * 40) + "... (200000 characters)"),
+    ])
+    def test_unknown_state_line_shows_a_bounded_prefix(self, workspace, capsys, cell, shown):
+        lines = (workspace / "tiny.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[0] = cell
+        lines[5] = ",".join(cells)
+        (workspace / "tiny.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("select", "--config", "pipeline.ini") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"data error: row 5: value {shown} is not a state of 'T'"]
+        assert len(err[0]) < 120

@@ -516,6 +516,9 @@ class TestSplit:
             split = make_split(n, test_fraction, fold_count, fold_fraction, seed)
         except SplitError:
             return
+        for indices in (split.train_idx, split.test_idx, *split.folds):
+            assert type(indices) is tuple and all(type(i) is int for i in indices)
+            assert list(indices) == sorted(indices)
         train, test = set(split.train_idx), set(split.test_idx)
         assert train | test == set(range(n))
         assert not train & test

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from bnpipeline.mcmc import (
     export_traces,
     gelman_rubin,
     posterior_predict,
+    predictive_probs,
     sample_parameters,
     summarize_distribution,
     write_predictions,
 )
-from bnpipeline.mcmc import _kde
+from bnpipeline.mcmc import _draw_chain, _kde
 from bnpipeline.simulate import sample_dataset
 from test_bayesnet import random_network
 
@@ -406,6 +408,56 @@ class TestSamplerReference:
                 for j, row in enumerate(post):
                     want[:, j, :] = rng.dirichlet(row, size=30)
                 assert np.array_equal(traces.draws[node][chain], want)
+
+
+def tan_network(predictors=10, states=5, n=300, seed=71):
+    """Target T and a chain of predictors, each with parents T and the
+    previous predictor: 1 + 5 + 9 * 25 = 231 CPT rows at the defaults."""
+    names = ["T"] + [f"X{i}" for i in range(predictors)]
+    schema = make_schema([states] * len(names), names)
+    edges = [("T", x) for x in names[1:]] + list(zip(names[1:], names[2:]))
+    rng = np.random.default_rng(seed)
+    records = rng.integers(0, states, size=(n, len(names)))
+    return fit_conjugate(Dag(schema.names, tuple(edges)), Dataset(schema, records))
+
+
+class TestPredictionOneChainAtATime:
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    def test_matches_one_all_chains_stack(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng)
+        names = list(net.schema.names)
+        target = names[int(rng.integers(len(names)))]
+        records = np.column_stack([rng.integers(0, net.schema.cardinality(n), size=12) for n in names])
+        records[rng.random(records.shape) < 0.4] = -1
+        records[0] = -1  # a record that observes nothing: every node is drawn
+        cfg = McmcConfig(seed=seed, chains=3, sample_iters=40)
+        got = predictive_probs(net, records, cfg, mode="mcmc", target=target)
+
+        kept = cfg.kept_per_chain
+        nodes = list(net.dag.nodes)
+        stack = {n: np.empty(net.cpts[n].posterior.shape + (cfg.chains * kept,)) for n in nodes}
+        for chain in range(cfg.chains):
+            columns = {n: buf[:, :, chain * kept : (chain + 1) * kept] for n, buf in stack.items()}
+            _draw_chain(net, nodes, cfg, chain, 1, columns)
+        mass = eliminate(net, {n: buf.transpose(2, 0, 1) for n, buf in stack.items()}, records, (target,))
+        assert np.allclose(got, mass / mass.sum(axis=1, keepdims=True), rtol=1e-12, atol=0)
+
+    def test_holds_one_chain_of_draws(self):
+        net = tan_network()
+        assert sum(cpt.posterior.shape[0] for cpt in net.cpts.values()) >= 200
+        cfg = McmcConfig(seed=5, chains=3, sample_iters=1000)
+        one_chain = 8 * cfg.kept_per_chain * sum(cpt.posterior.size for cpt in net.cpts.values())
+        records = np.random.default_rng(6).integers(0, 5, size=(40, len(net.schema.names)))
+        tracemalloc.start()
+        try:
+            probs = predictive_probs(net, records, cfg, mode="mcmc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (40, 5)
+        # every family holds the target, so every node is drawn; all chains at once would be 3x
+        assert one_chain <= peak < 2 * one_chain
 
 
 def one_shot_kde(samples, grid_points=256):
