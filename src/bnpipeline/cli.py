@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -238,10 +239,7 @@ def cmd_cv(cfg: PipelineConfig) -> None:
     )
     write_split_plan(split, out / "split_plan.csv")
     cv = evaluation.cross_validate(
-        candidates, data, split,
-        alpha0=cfg.alpha0, mode=cfg.cv_mode,
-        config=cfg.mcmc_config() if cfg.cv_mode == "mcmc" else None,
-        literal_rmse=cfg.literal_rmse,
+        candidates, data, split, alpha0=cfg.alpha0, literal_rmse=cfg.literal_rmse
     )
     evaluation.write_cv_csv(cv, out / "cv_metrics.csv")
     (out / "chosen_model.txt").write_text(cv.best + "\n", encoding="utf-8")
@@ -270,12 +268,8 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
         data.n_records, cfg.test_fraction, cfg.fold_count, cfg.fold_fraction, cfg.seed
     )
     write_split_plan(split, out / "split_plan.csv")
-    mcfg = cfg.mcmc_config()
     summary, preds, network = evaluation.final_evaluation(
-        best, data, split,
-        alpha0=cfg.alpha0, mode=cfg.predict_mode,
-        config=mcfg if cfg.predict_mode == "mcmc" else None,
-        literal_rmse=cfg.literal_rmse,
+        best, data, split, alpha0=cfg.alpha0, literal_rmse=cfg.literal_rmse
     )
     target = data.schema.target
     bayesnet.write_fitted_network(network, out / "fitted_network.csv")
@@ -286,7 +280,7 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
     unknown = [n for n in monitor if n not in network.cpts]
     if unknown:
         raise ConfigError(f"monitor names {unknown} are not nodes of the chosen structure")
-    traces = mcmc.sample_parameters(network, mcfg, monitor)
+    traces = mcmc.sample_parameters(network, cfg.mcmc_config(), monitor)
     mcmc.export_traces(traces, out / "traces")
     rhat = mcmc.gelman_rubin(traces)
     with open(out / "rhat.csv", "w", newline="", encoding="utf-8") as fh:
@@ -307,16 +301,20 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _md_table(path: Path, max_rows: int = 10) -> list[str]:
+    """Markdown table of a CSV's header and first max_rows records, then a
+    count of the records left out, which are parsed but not kept."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return []
-    header, body = rows[0], rows[1:]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return []
+        body = list(itertools.islice(reader, max_rows))
+        more = sum(1 for _ in reader)
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for row in body[:max_rows]:
+    for row in body:
         lines.append("| " + " | ".join(row) + " |")
-    if len(body) > max_rows:
-        filler = [f"... ({len(body) - max_rows} more rows)"] + [""] * (len(header) - 1)
+    if more:
+        filler = [f"... ({more} more rows)"] + [""] * (len(header) - 1)
         lines.append("| " + " | ".join(filler) + " |")
     return lines
 

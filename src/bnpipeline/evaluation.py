@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from itertools import repeat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bayesnet import FittedNetwork, fit_conjugate, subtract_counts
 from .dataset import Dataset, SplitPlan, numeric_state_values
-from .mcmc import McmcConfig, PosteriorPredictive, predictions, predictive_probs
+from .mcmc import PosteriorPredictive, predictions, predictive_probs
 from .structlearn import CandidateModel
 
 
@@ -103,64 +101,21 @@ class CvResult:
     best: str
 
 
-# the cross-validation inputs a pool worker inherits from its initializer
-_worker_inputs: tuple | None = None
-
-
-def _set_worker_inputs(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _fold_predictions(task: tuple[int, int], inputs: tuple | None = None) -> np.ndarray:
-    """Predicted target state of each record of one fold by one candidate:
-    task is a (fold, candidate) index pair, and inputs are the training fits,
-    data, split, mode and Monte-Carlo config (a worker's own by default)."""
-    fitted, data, split, mode, config = inputs or _worker_inputs
-    fold = list(split.folds[task[0]])
-    network = subtract_counts(fitted[task[1]], data.subset(fold))
-    probs = predictive_probs(network, data.records[fold], config, mode, data.schema.target)
-    return probs.argmax(axis=1)
-
-
-def _pool_map(tasks: list[tuple[int, int]], inputs: tuple) -> list[np.ndarray] | None:
-    """_fold_predictions of each task in a pool of one fork-started worker
-    process per CPU this process may use; None where there is one such CPU
-    or no fork."""
-    # imported here: every phase process would pay for the modules otherwise
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    with ProcessPoolExecutor(
-        min(cpus, len(tasks)), multiprocessing.get_context("fork"),
-        initializer=_set_worker_inputs, initargs=inputs,
-    ) as pool:
-        return list(pool.map(_fold_predictions, tasks))
-
-
 def cross_validate(
     candidates: Sequence[CandidateModel],
     data: Dataset,
     split: SplitPlan,
     alpha0: float = 1.0,
-    mode: str = "exact",
-    config: McmcConfig | None = None,
     literal_rmse: bool = False,
 ) -> CvResult:
     """Fit every candidate on train-minus-fold and score it on each fold.
 
     Each candidate is fitted once on the training split; its network for a
     fold is that fit minus the fold's own family counts, which equals a refit
-    on train-minus-fold because counts are additive. The (fold, candidate)
-    tasks are independent, and each seeds its own Monte-Carlo streams. In
-    mcmc mode, where each task draws parameters, they run in a pool of
-    fork-started workers (see _pool_map); exact tasks cost about as much as
-    a round trip to a worker, so they run in this process. The result does
-    not depend on where they run. The winner is the model with the smallest
-    average RMSE over folds (ties go to the lexicographically first label).
+    on train-minus-fold because counts are additive. Each (fold, candidate)
+    pair then costs one closed-form predictive_probs call, so every pair
+    runs in this process. The winner is the model with the smallest average
+    RMSE over folds (ties go to the lexicographically first label).
     """
     if not candidates:
         raise ValueError("no candidate models")
@@ -171,21 +126,19 @@ def cross_validate(
     values = np.asarray(numeric_state_values(data.schema.spec(target)))
     train_data = data.subset(split.train_idx)
     fitted = [fit_conjugate(cand.dag, train_data, alpha0) for cand in candidates]
-    inputs = (fitted, data, split, mode, config)
-    tasks = [(f, c) for f in range(len(split.folds)) for c in range(len(candidates))]
-
-    predicted = _pool_map(tasks, inputs) if mode == "mcmc" else None
-    if predicted is None:
-        predicted = list(map(_fold_predictions, tasks, repeat(inputs)))
 
     results = []
     sums: dict[str, list[float]] = {c.label: [0.0, 0.0] for c in candidates}
-    for (f, c), pred in zip(tasks, predicted):
-        truth = data.records[list(split.folds[f]), data.schema.index(target)]
-        m = metrics(values[pred], values[truth], literal_rmse=literal_rmse)
-        results.append((labels[c], f + 1, m))
-        sums[labels[c]][0] += m.accuracy
-        sums[labels[c]][1] += m.rmse
+    for f, fold in enumerate(split.folds):
+        rows = list(fold)
+        held_out = data.subset(rows)
+        truth = values[data.records[rows, data.schema.index(target)]]
+        for label, network in zip(labels, fitted):
+            probs = predictive_probs(subtract_counts(network, held_out), data.records[rows], target)
+            m = metrics(values[probs.argmax(axis=1)], truth, literal_rmse=literal_rmse)
+            results.append((label, f + 1, m))
+            sums[label][0] += m.accuracy
+            sums[label][1] += m.rmse
     n_folds = len(split.folds)
     averages = {label: (acc / n_folds, rmse / n_folds) for label, (acc, rmse) in sums.items()}
     best = min(averages, key=lambda lbl: (averages[lbl][1], lbl))
@@ -197,8 +150,6 @@ def final_evaluation(
     data: Dataset,
     split: SplitPlan,
     alpha0: float = 1.0,
-    mode: str = "exact",
-    config: McmcConfig | None = None,
     literal_rmse: bool = False,
 ) -> tuple[Metrics, list[PosteriorPredictive], FittedNetwork]:
     """Retrain on the full training split and score the held-out test set."""
@@ -208,7 +159,7 @@ def final_evaluation(
     network = fit_conjugate(best.dag, data.subset(list(split.train_idx)), alpha0)
     records = data.records[list(split.test_idx)]
     truths = records[:, data.schema.index(target)]
-    probs = predictive_probs(network, records, config, mode, target)
+    probs = predictive_probs(network, records, target)
     summary = metrics(values[probs.argmax(axis=1)], values[truths], literal_rmse=literal_rmse)
     return summary, predictions(probs, spec, truths), network
 

@@ -3,14 +3,15 @@
 With categorical nodes and Dirichlet priors the parameter posterior is an
 independent Dirichlet per CPT row, so the sampler draws exact independent
 samples per chain. Such draws need no warm-up and no thinning: each chain
-draws only the rows it keeps, into a (configs, states, kept) destination per
-node, which is the layout bayesnet.eliminate gathers from. For traces and
-diagnostics the destinations are the chains' slices of one (configs, states,
-chains * kept) buffer per node, since r-hat needs every chain at once.
-Predictive distributions come from bayesnet.eliminate (variable elimination),
-at the posterior mean in exact mode and, in Monte-Carlo mode, over one
-chain's draws at a time: prediction holds a single chain's draws, whatever
-the number of chains.
+draws only the rows it keeps, into its slice of one (configs, states,
+chains * kept) buffer per node, since r-hat needs every chain at once. The
+draws feed only the traces, their densities and r-hat, which describe the
+parameter posterior.
+
+Prediction needs no draws. Every term of p(t, x | theta) uses each CPT row
+at most once, and the rows are independent, so its posterior expectation is
+p(t, x | posterior mean): the Bayesian predictive is the conditional at
+posterior-mean parameters, which bayesnet.eliminate computes in one call.
 """
 
 from __future__ import annotations
@@ -107,17 +108,8 @@ def summarize_distribution(probs: Sequence[float], values: Sequence[float]) -> t
     return float(p @ v), int(np.argmax(p))
 
 
-def _chain_rng(seed: int, chain: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain, stream)))
-
-
-def _draw_buffers(network: FittedNetwork, nodes: Sequence[str], width: int) -> dict[str, np.ndarray]:
-    """Empty (configs, states, width) draw buffer of each node."""
-    return {n: np.empty(network.cpts[n].posterior.shape + (width,)) for n in nodes}
-
-
 def _draw_chain(
-    network: FittedNetwork, nodes: Sequence[str], config: McmcConfig, chain: int, stream: int,
+    network: FittedNetwork, nodes: Sequence[str], config: McmcConfig, chain: int,
     buffers: Mapping[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """kept_per_chain exact Dirichlet draws of every CPT row of each requested
@@ -128,7 +120,7 @@ def _draw_chain(
     standard_gamma call over the node's posterior normalized in numpy, and
     it covers numpy's stick-breaking branch for rows all below 0.1.
     """
-    rng = _chain_rng(config.seed, chain, stream)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain, 0)))
     kept = config.kept_per_chain
     out = {}
     for node in nodes:
@@ -150,11 +142,11 @@ def sample_parameters(
         if n not in network.cpts:
             raise ValueError(f"unknown node {n!r}")
     kept = config.kept_per_chain
-    buffers = _draw_buffers(network, monitored, config.chains * kept)
+    buffers = {n: np.empty(network.cpts[n].posterior.shape + (config.chains * kept,)) for n in monitored}
     draws: dict[str, list[np.ndarray]] = {n: [] for n in monitored}
     for chain in range(config.chains):
         columns = {n: buf[:, :, chain * kept : (chain + 1) * kept] for n, buf in buffers.items()}
-        for n, view in _draw_chain(network, monitored, config, chain, 0, columns).items():
+        for n, view in _draw_chain(network, monitored, config, chain, columns).items():
             draws[n].append(view)
     dims = {n: network.cpts[n].posterior.shape for n in monitored}
     return TraceSet(dims, draws)
@@ -167,27 +159,18 @@ def sample_parameters(
 def predictive_probs(
     network: FittedNetwork,
     records: np.ndarray,
-    config: McmcConfig | None = None,
-    mode: str = "exact",
     target: str | None = None,
     max_states: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
-    """Predictive target distribution of each row of records, a records x
-    schema matrix of state indices (-1 where unobserved) whose target column
-    is ignored: shape (records, target states).
+    """Posterior-predictive target distribution of each row of records, a
+    records x schema matrix of state indices (-1 where unobserved) whose
+    target column is ignored: shape (records, target states).
 
-    mode="exact" evaluates the conditional at posterior-mean parameters.
-    mode="mcmc" estimates the same quantity by Monte Carlo: the per-draw
-    joint mass of each (target state, evidence) is averaged over simulated
-    parameter draws and normalized once, which converges to the exact
-    conditional as draws grow. Both sum the unobserved variables out by
-    variable elimination in bayesnet.eliminate: exact mode in one call,
-    Monte-Carlo mode in one call per chain, whose draws refill the same
-    (configs, states, kept) buffers, so prediction holds one chain's draws
-    at a time. The chains' masses are summed, then normalized.
+    This is the closed form of the Bayesian predictive: the conditional at
+    posterior-mean parameters, with the unobserved variables summed out by
+    variable elimination in one bayesnet.eliminate call. The average of the
+    per-draw joint mass over parameter draws converges to it as draws grow.
     """
-    if mode not in ("exact", "mcmc"):
-        raise ValueError(f"unknown mode {mode!r}")
     schema = network.schema
     tgt = target if target is not None else schema.target
     if tgt not in network.dag.nodes:
@@ -201,27 +184,8 @@ def predictive_probs(
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ValueError(f"unknown evidence state {records[row, col]} for {schema.names[col]!r}")
-
-    if mode == "exact":
-        mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
-        mass = eliminate(network, mean, records, (tgt,), max_states)
-    else:
-        if config is None:
-            raise ValueError("mcmc mode needs an McmcConfig")
-        # families never touching an unobserved variable cancel out of every
-        # record's predictive, so their parameters are not worth drawing
-        hidden = (records < 0).any(axis=0)
-        maybe_hidden = {tgt} | {n for n in network.dag.nodes if hidden[schema.index(n)]}
-        needed = [
-            node
-            for node in network.dag.nodes
-            if maybe_hidden & set(network.cpts[node].parent_order + (node,))
-        ]
-        buffers = _draw_buffers(network, needed, config.kept_per_chain)
-        mass = 0.0
-        for chain in range(config.chains):
-            draws = _draw_chain(network, needed, config, chain, 1, buffers)
-            mass = mass + eliminate(network, draws, records, (tgt,), max_states)
+    mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
+    mass = eliminate(network, mean, records, (tgt,), max_states)
     return mass / mass.sum(axis=1, keepdims=True)
 
 
@@ -250,7 +214,10 @@ def posterior_predict(
 ) -> list[PosteriorPredictive]:
     """Predictive target distribution for each evidence record, a dict of
     state indices by variable name that leaves out the target and any
-    unobserved predictor; see predictive_probs for the modes."""
+    unobserved predictor. Both modes, "exact" and "mcmc", give the closed
+    form of predictive_probs; config is accepted and not used."""
+    if mode not in ("exact", "mcmc"):
+        raise ValueError(f"unknown mode {mode!r}")
     schema = network.schema
     tgt = target if target is not None else schema.target
     if true_states is not None and len(true_states) != len(evidence_records):
@@ -263,7 +230,7 @@ def posterior_predict(
             matrix[i, [schema.index(v) for v in record]] = list(record.values())
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-    probs = predictive_probs(network, matrix, config, mode, tgt, max_states)
+    probs = predictive_probs(network, matrix, tgt, max_states)
     return predictions(probs, schema.spec(tgt), true_states)
 
 

@@ -31,7 +31,10 @@ class EdgeConstraints:
     blacklist: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        overlap = set(self.whitelist) & set(self.blacklist)
+        # edge sets for the membership tests; the dataclass is frozen
+        object.__setattr__(self, "_required", frozenset(self.whitelist))
+        object.__setattr__(self, "_forbidden", frozenset(self.blacklist))
+        overlap = self._required & self._forbidden
         if overlap:
             raise ConstraintError(f"edges both required and forbidden: {sorted(overlap)}")
         nodes = tuple(sorted({n for e in self.whitelist for n in e}))
@@ -41,10 +44,10 @@ class EdgeConstraints:
             raise ConstraintError(f"whitelist is not acyclic: {exc}") from exc
 
     def forbids(self, parent: str, child: str) -> bool:
-        return (parent, child) in set(self.blacklist)
+        return (parent, child) in self._forbidden
 
     def requires(self, parent: str, child: str) -> bool:
-        return (parent, child) in set(self.whitelist)
+        return (parent, child) in self._required
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,25 @@
+import csv
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bnpipeline
 from bnpipeline import bayesnet
 from bnpipeline.bayesnet import Dag, read_structure, write_structure
-from bnpipeline.cli import main
+from bnpipeline.cli import _md_table, main
 from bnpipeline.config import ConfigError, dump_config, load_config, parse_config_text
 from bnpipeline.dataset import Dataset, Schema, VariableSpec, write_csv, write_schema
 from bnpipeline.simulate import sample_dataset
 from test_bayesnet import five_state_chain
+
+DEMO = Path(__file__).resolve().parents[1] / "data"
 
 CONFIG = """\
 [data]
@@ -452,6 +462,25 @@ class TestConfigAndDataDefects:
         assert len(err) == 1 and "NOPE" in err[0]
         assert not (workspace / "out" / "selected_variables.txt").exists()
 
+    def test_near_zero_prior_predicts_no_nan(self, tmp_path):
+        # at alpha0 = 1e-9 unseen cells draw as exactly 0, so an average over
+        # draws can give a record's evidence zero mass and a row of nan; the
+        # posterior means the predictive uses are all positive
+        shutil.copytree(DEMO, tmp_path / "data")
+        config = (tmp_path / "data" / "pipeline.ini").read_text(encoding="utf-8")
+        assert "\nmode = mcmc\n" in config
+        config = config.replace("[predict]", "[predict]\nmodel = tan")
+        (tmp_path / "data" / "pipeline.ini").write_text(config + "\n[model]\nalpha0 = 1e-9\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(bnpipeline.__file__).parents[1]))
+        for phase in ("select", "learn", "fit-predict"):
+            done = subprocess.run(
+                [sys.executable, "-m", "bnpipeline", phase, "--config", "data/pipeline.ini"],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+        assert "nan" not in (tmp_path / "out" / "predictions.csv").read_text(encoding="utf-8")
+
     def test_empty_test_set_is_3(self, workspace, capsys):
         # round(0.001 * 240) = 0 test records; a named model lets
         # fit-predict run without cv's choice
@@ -525,3 +554,44 @@ class TestConfigAndDataDefects:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"data error: row 5: value {shown} is not a state of 'T'"]
         assert len(err[0]) < 120
+
+
+def md_table_reference(path, max_rows=10):
+    """The report table from the whole CSV held in memory."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return []
+    header, body = rows[0], rows[1:]
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    for row in body[:max_rows]:
+        lines.append("| " + " | ".join(row) + " |")
+    if len(body) > max_rows:
+        filler = [f"... ({len(body) - max_rows} more rows)"] + [""] * (len(header) - 1)
+        lines.append("| " + " | ".join(filler) + " |")
+    return lines
+
+
+class TestReportTables:
+    @pytest.mark.parametrize("text", [
+        "",
+        "a,b\n",
+        "a,b\n" + "".join(f"{i},{i * i}\n" for i in range(10)),
+        "a,b\n" + "".join(f"{i},{i * i}\n" for i in range(11)),
+        "a,b\n" + "".join(f"{i},{i * i}\n" for i in range(2500)),
+        'a,"b\nc"\n' + "".join(f'{i},"line one\nline two, {i}"\n' for i in range(14)),
+        'a,b\n1,2\n\n3,"4\r\n5"\n' + "x,y\n" * 12,
+    ], ids=["empty", "header_only", "ten_rows", "eleven_rows", "long", "quoted_newlines", "blank_and_crlf"])
+    def test_streamed_table_equals_the_whole_file_table(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _md_table(path) == md_table_reference(path)
+        assert _md_table(path, max_rows=3) == md_table_reference(path, max_rows=3)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.lists(st.text(alphabet='ab,"\n\r ', max_size=6), min_size=1, max_size=3), max_size=16))
+    def test_any_written_csv(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("report") / "scores.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert _md_table(path, max_rows=4) == md_table_reference(path, max_rows=4)

@@ -1,7 +1,4 @@
-import concurrent.futures
 import math
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +17,7 @@ from bnpipeline.evaluation import (
     write_cv_csv,
     write_final_metrics,
 )
-from bnpipeline.mcmc import McmcConfig, posterior_predict
+from bnpipeline.mcmc import posterior_predict
 from bnpipeline.simulate import benchmark_alternative, benchmark_network, sample_dataset
 from bnpipeline.structlearn import CandidateModel, naive
 
@@ -147,14 +144,13 @@ class TestCrossValidate:
             )
             assert manual == got
 
-    def test_mcmc_folds_match_refit_on_train_minus_fold(self):
+    def test_fold_networks_match_refit_on_train_minus_fold(self):
         # each fold's network is the training fit minus the fold's counts; its
-        # counts, and so its Monte-Carlo metrics, must equal a from-scratch refit
+        # counts, and so its metrics, must equal a from-scratch refit
         dag, data = small_problem(n=200, seed=5)
         split = make_split(data.n_records, 0.25, 3, 0.12, seed=9)
         cands = [CandidateModel("truth", dag), naive(data, "EVAL")]
-        config = McmcConfig(seed=4, chains=2, sample_iters=40)
-        cv = cross_validate(cands, data, split, mode="mcmc", config=config)
+        cv = cross_validate(cands, data, split)
         values = numeric_state_values(data.schema.spec("EVAL"))
         train_data = data.subset(split.train_idx)
         dags = {c.label: c.dag for c in cands}
@@ -166,7 +162,7 @@ class TestCrossValidate:
             for node, cpt in net.cpts.items():
                 assert np.array_equal(subtracted.cpts[node].counts, cpt.counts)
             records, truths = evidence_records(data, list(fold), "EVAL")
-            preds = posterior_predict(net, records, config=config, mode="mcmc", target="EVAL")
+            preds = posterior_predict(net, records, target="EVAL")
             manual = metrics(
                 [values[p.predicted] for p in preds], [values[t] for t in truths]
             )
@@ -234,52 +230,3 @@ class TestFinalEvaluation:
         lines = (tmp_path / "final.csv").read_text().splitlines()
         assert lines[0] == "cases,correct,large_errors,accuracy,rmse"
         assert lines[1].startswith("35,12,3,")
-
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the worker pool needs fork and CPU affinity",
-)
-
-
-@needs_fork
-class TestWorkerPool:
-    @pytest.mark.parametrize("mode, config", [
-        ("exact", None),
-        ("mcmc", McmcConfig(seed=4, chains=2, sample_iters=40)),
-    ])
-    def test_one_cpu_runs_in_process_with_the_pooled_result(self, monkeypatch, mode, config):
-        dag, data = small_problem(n=200, seed=5)
-        split = make_split(data.n_records, 0.25, 3, 0.12, seed=9)
-        cands = [CandidateModel("truth", dag), naive(data, "EVAL")]
-        # two workers even on a one-CPU machine, then none
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        pooled = cross_validate(cands, data, split, mode=mode, config=config)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert cross_validate(cands, data, split, mode=mode, config=config) == pooled
-
-    @pytest.mark.parametrize("mode, config, pools", [
-        ("exact", None, 0),
-        ("mcmc", McmcConfig(seed=4, chains=2, sample_iters=40), 1),
-    ])
-    def test_only_tasks_that_draw_parameters_start_a_pool(self, monkeypatch, mode, config, pools):
-        started = []
-        pool_class = concurrent.futures.ProcessPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            started.append(args)
-            return pool_class(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        dag, data = small_problem(n=200, seed=5)
-        split = make_split(data.n_records, 0.25, 3, 0.12, seed=9)
-        cross_validate([CandidateModel("truth", dag)], data, split, mode=mode, config=config)
-        assert len(started) == pools
-
-    def test_task_error_reaches_the_caller_with_its_class_and_message(self, monkeypatch):
-        dag, data = small_problem()
-        split = make_split(data.n_records, 0.2, 4, 0.1, seed=3)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with pytest.raises(ValueError, match="^mcmc mode needs an McmcConfig$"):
-            cross_validate([CandidateModel("truth", dag)], data, split, mode="mcmc")

@@ -178,18 +178,17 @@ class TestPosteriorPredict:
             assert tv_distance(e.probs, s.probs) < 0.02
 
     def test_convergence_toward_exact_with_more_draws(self):
+        # the Monte-Carlo average over parameter draws closes in on the closed form
         net = toy_chain_network(seed=12, n=60)
-        record = {"B": 2, "C": 0}
-        (exact,) = posterior_predict(net, [record], mode="exact")
+        records = np.array([[-1, 2, 0]])
+        exact = predictive_probs(net, records)
         improved = 0
         for rep in range(20):
-            small = McmcConfig(seed=100 + rep, chains=1, adapt_iters=0, burnin_iters=0,
-                               sample_iters=2000)
-            big = McmcConfig(seed=100 + rep, chains=1, adapt_iters=0, burnin_iters=0,
-                             sample_iters=200_000)
-            (p_small,) = posterior_predict(net, [record], config=small, mode="mcmc")
-            (p_big,) = posterior_predict(net, [record], config=big, mode="mcmc")
-            if tv_distance(p_big.probs, exact.probs) < tv_distance(p_small.probs, exact.probs):
+            small = McmcConfig(seed=100 + rep, chains=1, sample_iters=2000)
+            big = McmcConfig(seed=100 + rep, chains=1, sample_iters=200_000)
+            if tv_distance(draw_average(net, records, "A", big), exact) < tv_distance(
+                draw_average(net, records, "A", small), exact
+            ):
                 improved += 1
         assert improved >= 18
 
@@ -218,6 +217,15 @@ class TestPosteriorPredict:
         b = posterior_predict(net, [{"B": 1}], config=cfg, mode="mcmc")
         assert np.array_equal(a[0].probs, b[0].probs)
 
+    def test_modes_give_the_closed_form(self):
+        net = toy_chain_network(seed=18)
+        records = [{"B": 1, "C": 2}, {"C": 0}, {}]
+        cfg = McmcConfig(seed=22, chains=2, sample_iters=100)
+        exact = posterior_predict(net, records, mode="exact")
+        for config in (cfg, None):
+            for e, m in zip(exact, posterior_predict(net, records, config=config, mode="mcmc")):
+                assert np.array_equal(e.probs, m.probs)
+
     def test_true_states_attached(self):
         net = toy_chain_network(seed=16)
         preds = posterior_predict(net, [{"B": 0, "C": 0}], mode="exact", true_states=[2])
@@ -231,8 +239,6 @@ class TestPosteriorPredict:
             posterior_predict(net, [{"Z": 0}], mode="exact")
         with pytest.raises(ValueError):
             posterior_predict(net, [{"B": 9}], mode="exact")
-        with pytest.raises(ValueError):
-            posterior_predict(net, [{"B": 0}], mode="mcmc")  # config missing
         with pytest.raises(ValueError):
             posterior_predict(net, [{"B": 0}], mode="typo")
 
@@ -421,43 +427,64 @@ def tan_network(predictors=10, states=5, n=300, seed=71):
     return fit_conjugate(Dag(schema.names, tuple(edges)), Dataset(schema, records))
 
 
-class TestPredictionOneChainAtATime:
-    @pytest.mark.parametrize("seed", [81, 82, 83])
-    def test_matches_one_all_chains_stack(self, seed):
+def draw_average(network, records, target, config):
+    """Reference: the Monte-Carlo predictive. Every chain's Dirichlet draws of
+    every node, the joint mass of each draw by elimination, summed over
+    draws and normalized once."""
+    nodes = list(network.dag.nodes)
+    mass = 0.0
+    for chain in range(config.chains):
+        buffers = {n: np.empty(network.cpts[n].posterior.shape + (config.kept_per_chain,)) for n in nodes}
+        draws = _draw_chain(network, nodes, config, chain, buffers)
+        mass = mass + eliminate(network, draws, records, (target,))
+    return mass / mass.sum(axis=1, keepdims=True)
+
+
+def with_prior(network, prior):
+    """The network's counts under a flat "alpha0=<a>" prior, or a
+    "bdeu_ess=<ess>" one that spreads ess / (configs * states) over each table."""
+    kind, value = prior.split("=")
+    cpts = {}
+    for node, cpt in network.cpts.items():
+        cell = float(value) if kind == "alpha0" else float(value) / cpt.counts.size
+        cpts[node] = Cpt(node, cpt.parent_order, np.full(cpt.counts.shape, cell), cpt.counts)
+    return FittedNetwork(network.dag, network.schema, cpts)
+
+
+class TestClosedFormPredictive:
+    @pytest.mark.parametrize("seed", [81, 82, 83, 84])
+    @pytest.mark.parametrize("prior", ["alpha0=1", "alpha0=0.3", "bdeu_ess=1", "bdeu_ess=10"])
+    def test_is_the_draw_average(self, seed, prior):
+        # E[p(t, x | theta)] = p(t, x | posterior mean): the rows are
+        # independent Dirichlets and each term uses a row at most once
         rng = np.random.default_rng(seed)
-        net = random_network(rng)
+        net = with_prior(random_network(rng), prior)
         names = list(net.schema.names)
         target = names[int(rng.integers(len(names)))]
         records = np.column_stack([rng.integers(0, net.schema.cardinality(n), size=12) for n in names])
         records[rng.random(records.shape) < 0.4] = -1
-        records[0] = -1  # a record that observes nothing: every node is drawn
-        cfg = McmcConfig(seed=seed, chains=3, sample_iters=40)
-        got = predictive_probs(net, records, cfg, mode="mcmc", target=target)
+        records[0] = -1  # a record that observes nothing
+        cfg = McmcConfig(seed=seed, chains=3, sample_iters=4000)
+        draws = cfg.chains * cfg.kept_per_chain
+        got = predictive_probs(net, records, target)
+        assert np.allclose(got.sum(axis=1), 1.0)
+        assert np.abs(got - draw_average(net, records, target, cfg)).max() < 3 / math.sqrt(draws)
 
-        kept = cfg.kept_per_chain
-        nodes = list(net.dag.nodes)
-        stack = {n: np.empty(net.cpts[n].posterior.shape + (cfg.chains * kept,)) for n in nodes}
-        for chain in range(cfg.chains):
-            columns = {n: buf[:, :, chain * kept : (chain + 1) * kept] for n, buf in stack.items()}
-            _draw_chain(net, nodes, cfg, chain, 1, columns)
-        mass = eliminate(net, {n: buf.transpose(2, 0, 1) for n, buf in stack.items()}, records, (target,))
-        assert np.allclose(got, mass / mass.sum(axis=1, keepdims=True), rtol=1e-12, atol=0)
-
-    def test_holds_one_chain_of_draws(self):
+    def test_holds_no_draws(self):
         net = tan_network()
         assert sum(cpt.posterior.shape[0] for cpt in net.cpts.values()) >= 200
-        cfg = McmcConfig(seed=5, chains=3, sample_iters=1000)
-        one_chain = 8 * cfg.kept_per_chain * sum(cpt.posterior.size for cpt in net.cpts.values())
+        one_draw = 8 * sum(cpt.posterior.size for cpt in net.cpts.values())
         records = np.random.default_rng(6).integers(0, 5, size=(40, len(net.schema.names)))
         tracemalloc.start()
         try:
-            probs = predictive_probs(net, records, cfg, mode="mcmc")
+            probs = predictive_probs(net, records)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert probs.shape == (40, 5)
-        # every family holds the target, so every node is drawn; all chains at once would be 3x
-        assert one_chain <= peak < 2 * one_chain
+        # the posterior means and a few blocks of working arrays; one chain of
+        # the demo's 2,000 kept draws would be 2,000 times one_draw
+        assert peak < 50 * one_draw
 
 
 def one_shot_kde(samples, grid_points=256):
