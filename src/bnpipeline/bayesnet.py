@@ -1,14 +1,14 @@
 """Directed acyclic graphs, Dirichlet-categorical fitting, and queries.
 
 Queries run by variable elimination (Koller & Friedman 2009, ch. 9). One
-routine, eliminate, serves exact queries at the posterior mean, Monte-Carlo
-queries over stacks of parameter draws, and the sensitivity report. It sums
-the unobserved variables out one at a time along its own min-fill order,
-gathering each CPT factor along the observed values of a block of records
-only at the step that uses it and multiplying it into that step's running
-product. The full joint is never built, and the number of unobserved
-variables is not limited: the cap bounds the cost of one record's
-elimination, which the network's structure determines.
+query, posterior_marginal, serves prediction, cross-validation, joint
+marginals and the sensitivity report, and one routine, eliminate, does its
+work. It sums the unobserved variables out one at a time along its own
+min-fill order, gathering each CPT factor along the observed values of a
+block of records only at the step that uses it and multiplying it into
+that step's running product. The full joint is never built, and the number
+of unobserved variables is not limited: the cap bounds the cost of one
+record's elimination, which the network's structure determines.
 """
 
 from __future__ import annotations
@@ -285,12 +285,11 @@ def subtract_counts(network: FittedNetwork, data: Dataset) -> FittedNetwork:
 
 
 # ---------------------------------------------------------------------------
-# exact and Monte-Carlo queries by variable elimination
+# exact queries by variable elimination
 # ---------------------------------------------------------------------------
 
 # cells of the accumulator plus one gathered factor of the widest step, per
-# block of records: 1 MB of float64, so that a block of a Monte-Carlo stack of
-# thousands of draws stays in cache
+# block of records and draws: 1 MB of float64, so that a block stays in cache
 _BLOCK_CELLS = 1 << 17
 
 
@@ -382,12 +381,12 @@ def eliminate(
     """Unnormalized joint mass of each record's evidence with every query
     state, averaged over draws: shape (records, *query cardinalities).
 
-    params maps each node to a (draws, configs, states) CPT stack; exact
-    queries pass one draw, the posterior mean. Gathers read each stack as
-    (configs * states, draws), so a stack that is the transposed view of a
-    C-contiguous (configs, states, draws) buffer, as mcmc draws them, is read
-    in place; any other layout is copied once. records holds state indices
-    in schema column order, -1 where unobserved; query columns are ignored.
+    params maps each node to a (draws, configs, states) CPT stack;
+    posterior_marginal passes one draw, the posterior mean. Gathers read each
+    stack as (configs * states, draws), so a stack that is the transposed
+    view of a C-contiguous (configs, states, draws) buffer is read in place;
+    any other layout is copied once. records holds state indices in schema
+    column order, -1 where unobserved; query columns are ignored.
     Records are grouped by which variables they leave unobserved. Fully
     observed families are skipped: they cancel under normalization and
     factor out of the draw average. The unobserved variables are summed out
@@ -459,13 +458,51 @@ def _multiply_into(acc: np.ndarray | None, factor: np.ndarray) -> np.ndarray:
     return acc
 
 
+def posterior_marginal(
+    network: FittedNetwork,
+    records: np.ndarray,
+    query: Sequence[str],
+    max_states: int = DEFAULT_ENUMERATION_CAP,
+) -> np.ndarray:
+    """Posterior-predictive distribution of the query variables given each
+    row of records, a records x schema matrix of state indices (-1 where
+    unobserved) whose query columns are ignored: shape (records, *query
+    cardinalities), each record's entries summing to 1.
+
+    Prediction needs no parameter draws. With Dirichlet priors and complete
+    training data the CPT rows are independent Dirichlets, and every term of
+    p(query, evidence | theta) uses each row at most once, so its posterior
+    expectation is p(query, evidence | posterior mean) (Heckerman 1995,
+    MSR-TR-95-06): the Bayesian predictive is the conditional at
+    posterior-mean parameters, which one eliminate call computes.
+    """
+    schema = network.schema
+    for qv in query:
+        if qv not in network.dag.nodes:
+            raise GraphError(f"unknown query variable {qv!r}")
+    records = np.asarray(records, dtype=np.int64)
+    if records.ndim != 2 or records.shape[1] != len(schema.names):
+        raise ValueError(f"records must be a matrix with {len(schema.names)} columns")
+    bad = (records < -1) | (records >= [schema.cardinality(n) for n in schema.names])
+    bad[:, [schema.index(q) for q in query]] = False
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"unknown evidence state {records[row, col]} for {schema.names[col]!r}")
+    mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
+    mass = eliminate(network, mean, records, query, max_states)
+    total = mass.sum(axis=tuple(range(1, mass.ndim)), keepdims=True)
+    if np.any(total <= 0):
+        raise ValueError("evidence has zero probability under the model")
+    return mass / total
+
+
 def joint_marginal(
     network: FittedNetwork,
     evidence: Mapping[str, int | np.ndarray],
     query: Sequence[str],
     max_states: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
-    """Exact p(query | evidence) at posterior-mean parameters.
+    """posterior_marginal of one evidence assignment given as a dict.
 
     Returns an array with one axis per query variable (schema state order).
     Evidence values are state indices: one int per variable, or equal-length
@@ -474,9 +511,6 @@ def joint_marginal(
     back as a point mass.
     """
     schema = network.schema
-    for qv in query:
-        if qv not in network.dag.nodes:
-            raise GraphError(f"unknown query variable {qv!r}")
     states = {var: np.asarray(s, dtype=np.int64) for var, s in evidence.items()}
     n = max((a.size for a in states.values() if a.ndim), default=1)
     records = np.full((n, len(schema.names)), -1, dtype=np.int64)
@@ -484,16 +518,12 @@ def joint_marginal(
         if np.any((a < 0) | (a >= schema.cardinality(var))):
             raise ValueError(f"evidence state {a} out of range for {var!r}")
         records[:, schema.index(var)] = a
-    mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
-    mass = eliminate(network, mean, records, query, max_states)
+    probs = posterior_marginal(network, records, query, max_states)
     for axis, qv in enumerate(query):
-        if qv in states:  # keep only each record's observed state
+        if qv in states:  # keep only each record's observed state, renormalized
             onehot = np.eye(schema.cardinality(qv))[records[:, schema.index(qv)]]
-            mass = mass * onehot.reshape([n] + [-1 if a == axis else 1 for a in range(len(query))])
-    total = mass.sum(axis=tuple(range(1, mass.ndim)), keepdims=True)
-    if np.any(total <= 0):
-        raise ValueError("evidence has zero probability under the model")
-    probs = mass / total
+            probs = probs * onehot.reshape([n] + [-1 if a == axis else 1 for a in range(len(query))])
+            probs = probs / probs.sum(axis=tuple(range(1, probs.ndim)), keepdims=True)
     return probs if any(a.ndim for a in states.values()) else probs[0]
 
 

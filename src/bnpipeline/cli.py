@@ -29,7 +29,10 @@ class DiagnosticFailure(Exception):
 
 def _out(cfg: PipelineConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 

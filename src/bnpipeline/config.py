@@ -249,6 +249,8 @@ def load_config(
         cfg = replace(cfg, out_dir=out_override)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     for label, ref in _input_files(cfg):
         if not Path(ref).is_file():
             raise ConfigError(f"{label} file not found: {ref}")

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayesnet import FittedNetwork, fit_conjugate, subtract_counts
+from .bayesnet import FittedNetwork, fit_conjugate, posterior_marginal, subtract_counts
 from .dataset import Dataset, SplitPlan, numeric_state_values
-from .mcmc import PosteriorPredictive, predictions, predictive_probs
+from .mcmc import PosteriorPredictive, predictions
 from .structlearn import CandidateModel
 
 
@@ -113,7 +113,7 @@ def cross_validate(
     Each candidate is fitted once on the training split; its network for a
     fold is that fit minus the fold's own family counts, which equals a refit
     on train-minus-fold because counts are additive. Each (fold, candidate)
-    pair then costs one closed-form predictive_probs call, so every pair
+    pair then costs one closed-form posterior_marginal call, so every pair
     runs in this process. The winner is the model with the smallest average
     RMSE over folds (ties go to the lexicographically first label).
     """
@@ -134,7 +134,7 @@ def cross_validate(
         held_out = data.subset(rows)
         truth = values[data.records[rows, data.schema.index(target)]]
         for label, network in zip(labels, fitted):
-            probs = predictive_probs(subtract_counts(network, held_out), data.records[rows], target)
+            probs = posterior_marginal(subtract_counts(network, held_out), data.records[rows], (target,))
             m = metrics(values[probs.argmax(axis=1)], truth, literal_rmse=literal_rmse)
             results.append((label, f + 1, m))
             sums[label][0] += m.accuracy
@@ -159,7 +159,7 @@ def final_evaluation(
     network = fit_conjugate(best.dag, data.subset(list(split.train_idx)), alpha0)
     records = data.records[list(split.test_idx)]
     truths = records[:, data.schema.index(target)]
-    probs = predictive_probs(network, records, target)
+    probs = posterior_marginal(network, records, (target,))
     summary = metrics(values[probs.argmax(axis=1)], values[truths], literal_rmse=literal_rmse)
     return summary, predictions(probs, spec, truths), network
 

@@ -69,7 +69,7 @@ def _normalized_cmi(hz: float, hxz: float, hyz: float, hxyz: float) -> float:
     hx_z = hxz - hz
     hy_z = hyz - hz
     denom = hx_z + hy_z
-    if denom <= 0.0:
+    if denom <= 1e-12:  # rounding residue: a true sum this small takes ~1e12 records
         return 0.0
     return 2.0 * max(0.0, hx_z + hy_z - (hxyz - hz)) / denom
 

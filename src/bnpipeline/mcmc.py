@@ -6,12 +6,7 @@ samples per chain. Such draws need no warm-up and no thinning: each chain
 draws only the rows it keeps, into its slice of one (configs, states,
 chains * kept) buffer per node, since r-hat needs every chain at once. The
 draws feed only the traces, their densities and r-hat, which describe the
-parameter posterior.
-
-Prediction needs no draws. Every term of p(t, x | theta) uses each CPT row
-at most once, and the rows are independent, so its posterior expectation is
-p(t, x | posterior mean): the Bayesian predictive is the conditional at
-posterior-mean parameters, which bayesnet.eliminate computes in one call.
+parameter posterior; prediction is bayesnet.posterior_marginal's closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import DEFAULT_ENUMERATION_CAP, FittedNetwork, eliminate
+from .bayesnet import DEFAULT_ENUMERATION_CAP, FittedNetwork, posterior_marginal
 from .dataset import VariableSpec, numeric_state_values
 
 
@@ -156,39 +151,6 @@ def sample_parameters(
 # posterior prediction
 # ---------------------------------------------------------------------------
 
-def predictive_probs(
-    network: FittedNetwork,
-    records: np.ndarray,
-    target: str | None = None,
-    max_states: int = DEFAULT_ENUMERATION_CAP,
-) -> np.ndarray:
-    """Posterior-predictive target distribution of each row of records, a
-    records x schema matrix of state indices (-1 where unobserved) whose
-    target column is ignored: shape (records, target states).
-
-    This is the closed form of the Bayesian predictive: the conditional at
-    posterior-mean parameters, with the unobserved variables summed out by
-    variable elimination in one bayesnet.eliminate call. The average of the
-    per-draw joint mass over parameter draws converges to it as draws grow.
-    """
-    schema = network.schema
-    tgt = target if target is not None else schema.target
-    if tgt not in network.dag.nodes:
-        raise ValueError(f"target {tgt!r} is not a network node")
-    records = np.asarray(records, dtype=np.int64)
-    if records.ndim != 2 or records.shape[1] != len(schema.names):
-        raise ValueError(f"records must be a matrix with {len(schema.names)} columns")
-    cards = np.array([schema.cardinality(n) for n in schema.names])
-    bad = (records < -1) | (records >= cards)
-    bad[:, schema.index(tgt)] = False
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(f"unknown evidence state {records[row, col]} for {schema.names[col]!r}")
-    mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
-    mass = eliminate(network, mean, records, (tgt,), max_states)
-    return mass / mass.sum(axis=1, keepdims=True)
-
-
 def predictions(
     probs: np.ndarray, spec: VariableSpec, true_states: Sequence[int] | None = None
 ) -> list[PosteriorPredictive]:
@@ -215,7 +177,7 @@ def posterior_predict(
     """Predictive target distribution for each evidence record, a dict of
     state indices by variable name that leaves out the target and any
     unobserved predictor. Both modes, "exact" and "mcmc", give the closed
-    form of predictive_probs; config is accepted and not used."""
+    form of bayesnet.posterior_marginal; config is accepted and not used."""
     if mode not in ("exact", "mcmc"):
         raise ValueError(f"unknown mode {mode!r}")
     schema = network.schema
@@ -230,7 +192,7 @@ def posterior_predict(
             matrix[i, [schema.index(v) for v in record]] = list(record.values())
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-    probs = predictive_probs(network, matrix, tgt, max_states)
+    probs = posterior_marginal(network, matrix, (tgt,), max_states)
     return predictions(probs, schema.spec(tgt), true_states)
 
 

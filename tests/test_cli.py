@@ -266,6 +266,29 @@ class TestPipelinePhases:
         plan_b = (workspace / "out" / "split_plan.csv").read_text()
         assert plan_a != plan_b
 
+    def test_prediction_modes_are_inert(self, workspace):
+        # every prediction is the closed form, whichever mode the config names
+        for cmd in ("select", "learn", "compare"):
+            assert run(cmd, "--config", "pipeline.ini") == 0
+        base = CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
+        assert "mode = mcmc\ncv_mode = exact\n" in base
+        outputs = {}
+        for mode in ("exact", "mcmc"):
+            out = workspace / f"out_{mode}"
+            shutil.copytree(workspace / "out", out)
+            (workspace / f"{mode}.ini").write_text(
+                base.replace("mode = mcmc\ncv_mode = exact\n", f"mode = {mode}\ncv_mode = {mode}\n"),
+                encoding="utf-8",
+            )
+            for cmd in ("cv", "fit-predict"):
+                assert run(cmd, "--config", f"{mode}.ini", "--out", str(out)) == 0
+            names = ["cv_metrics.csv", "chosen_model.txt", "predictions.csv", "final_metrics.csv", "rhat.csv"]
+            traces = sorted((out / "traces").iterdir())
+            assert traces
+            outputs[mode] = {name: (out / name).read_bytes() for name in names}
+            outputs[mode].update({f"traces/{p.name}": p.read_bytes() for p in traces})
+        assert outputs["exact"] == outputs["mcmc"]
+
 
 class TestExitCodes:
     def test_missing_config_is_2(self, workspace):
@@ -445,13 +468,26 @@ class TestConfigAndDataDefects:
         lambda text: text.replace("chains = 2", "chains = 1"),
         lambda text: text.replace("sample_iters = 300", "sample_iters = 5"),
         lambda text: text + "\n[model]\nbdeu_ess = 0\n",
-    ], ids=["one_chain", "five_kept_draws", "zero_bdeu_ess"])
+        lambda text: text.replace("seed = 5", "seed = -3"),
+    ], ids=["one_chain", "five_kept_draws", "zero_bdeu_ess", "negative_seed"])
     def test_config_the_run_cannot_use_is_2_at_load(self, workspace, capsys, edit):
         base = CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
         (workspace / "bad.ini").write_text(edit(base), encoding="utf-8")
         assert run("select", "--config", "bad.ini") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_negative_seed_override_is_2_at_load(self, workspace, capsys):
+        assert run("select", "--config", "pipeline.ini", "--seed", "-1") == 2
+        assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("phase, out", [("select", "taken"), ("report", "taken/sub")])
+    def test_out_that_cannot_be_created_is_2(self, workspace, capsys, phase, out):
+        (workspace / "taken").write_text("a file, not a directory\n", encoding="utf-8")
+        assert run(phase, "--config", "pipeline.ini", "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot create output directory {out}:")
 
     def test_keep_naming_no_variable_is_2(self, workspace, capsys):
         (workspace / "keep.ini").write_text(

@@ -179,6 +179,9 @@ class TestNormalizedScores:
         t = np.zeros((2, 2, 2))
         t[0, 0, :] = [2, 3]
         assert normalized_cmi(t) == 0.0
+        # X and Y are functions of Z: rounding leaves H(Y|Z) and the CMI at the
+        # same one-ulp residue, and the ratio of two residues is not a score
+        assert normalized_cmi([[[4, 0, 0, 0], [0, 5, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 0]]]) == 0.0
 
     @given(nonzero_tables_2d)
     @settings(max_examples=200, deadline=None)

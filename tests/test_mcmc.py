@@ -7,7 +7,7 @@ import pytest
 
 from bnpipeline import bayesnet
 from bnpipeline.bayesnet import Cpt, Dag, FittedNetwork, fit_conjugate
-from bnpipeline.bayesnet import eliminate
+from bnpipeline.bayesnet import eliminate, posterior_marginal
 from bnpipeline.dataset import Dataset, Schema, VariableSpec
 from bnpipeline.mcmc import (
     _KDE_BLOCK_CELLS,
@@ -18,7 +18,6 @@ from bnpipeline.mcmc import (
     export_traces,
     gelman_rubin,
     posterior_predict,
-    predictive_probs,
     sample_parameters,
     summarize_distribution,
     write_predictions,
@@ -181,7 +180,7 @@ class TestPosteriorPredict:
         # the Monte-Carlo average over parameter draws closes in on the closed form
         net = toy_chain_network(seed=12, n=60)
         records = np.array([[-1, 2, 0]])
-        exact = predictive_probs(net, records)
+        exact = posterior_marginal(net, records, (net.schema.target,))
         improved = 0
         for rep in range(20):
             small = McmcConfig(seed=100 + rep, chains=1, sample_iters=2000)
@@ -466,7 +465,7 @@ class TestClosedFormPredictive:
         records[0] = -1  # a record that observes nothing
         cfg = McmcConfig(seed=seed, chains=3, sample_iters=4000)
         draws = cfg.chains * cfg.kept_per_chain
-        got = predictive_probs(net, records, target)
+        got = posterior_marginal(net, records, (target,))
         assert np.allclose(got.sum(axis=1), 1.0)
         assert np.abs(got - draw_average(net, records, target, cfg)).max() < 3 / math.sqrt(draws)
 
@@ -477,7 +476,7 @@ class TestClosedFormPredictive:
         records = np.random.default_rng(6).integers(0, 5, size=(40, len(net.schema.names)))
         tracemalloc.start()
         try:
-            probs = predictive_probs(net, records)
+            probs = posterior_marginal(net, records, (net.schema.target,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
