@@ -39,11 +39,11 @@ class DuplicateEdge(GraphError):
     pass
 
 
-class MissingEdge(GraphError):
+class EnumerationTooLarge(Exception):
     pass
 
 
-class EnumerationTooLarge(Exception):
+class EvidenceUnderflow(DataError):
     pass
 
 
@@ -79,9 +79,6 @@ class Dag:
             raise GraphError(f"unknown node {node!r}")
         return tuple(c for p, c in self.edges if p == node)
 
-    def has_edge(self, parent: str, child: str) -> bool:
-        return (parent, child) in set(self.edges)
-
 
 def topological_sort(dag: Dag) -> list[str]:
     """Kahn's algorithm with lexicographic tie-breaking; raises CycleError."""
@@ -104,19 +101,6 @@ def topological_sort(dag: Dag) -> list[str]:
     if len(order) != len(dag.nodes):
         raise CycleError("graph contains a directed cycle")
     return order
-
-
-def dag_add_edge(dag: Dag, parent: str, child: str) -> Dag:
-    if dag.has_edge(parent, child):
-        raise DuplicateEdge(f"edge ({parent}, {child}) already present")
-    return Dag(dag.nodes, dag.edges + ((parent, child),))
-
-
-def reverse_edge(dag: Dag, parent: str, child: str) -> Dag:
-    if not dag.has_edge(parent, child):
-        raise MissingEdge(f"no edge ({parent}, {child}) to reverse")
-    edges = tuple(e for e in dag.edges if e != (parent, child)) + ((child, parent),)
-    return Dag(dag.nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +458,9 @@ def posterior_marginal(
     p(query, evidence | theta) uses each row at most once, so its posterior
     expectation is p(query, evidence | posterior mean) (Heckerman 1995,
     MSR-TR-95-06): the Bayesian predictive is the conditional at
-    posterior-mean parameters, which one eliminate call computes.
+    posterior-mean parameters, which one eliminate call computes. Every
+    posterior mean is positive, so a record whose mass comes out 0 lost it
+    to float underflow in the product of many small factors.
     """
     schema = network.schema
     for qv in query:
@@ -492,7 +478,10 @@ def posterior_marginal(
     mass = eliminate(network, mean, records, query, max_states)
     total = mass.sum(axis=tuple(range(1, mass.ndim)), keepdims=True)
     if np.any(total <= 0):
-        raise ValueError("evidence has zero probability under the model")
+        raise EvidenceUnderflow(
+            f"the evidence mass of {int(np.sum(total <= 0))} record(s) underflowed to 0 "
+            "in floating point; try a larger [model] alpha0"
+        )
     return mass / total
 
 
@@ -525,16 +514,6 @@ def joint_marginal(
             probs = probs * onehot.reshape([n] + [-1 if a == axis else 1 for a in range(len(query))])
             probs = probs / probs.sum(axis=tuple(range(1, probs.ndim)), keepdims=True)
     return probs if any(a.ndim for a in states.values()) else probs[0]
-
-
-def joint_query(
-    network: FittedNetwork,
-    evidence: Mapping[str, int | np.ndarray],
-    query: str,
-    max_states: int = DEFAULT_ENUMERATION_CAP,
-) -> np.ndarray:
-    """Distribution of one variable given evidence, at posterior-mean parameters."""
-    return joint_marginal(network, evidence, (query,), max_states=max_states)
 
 
 def sensitivity(

@@ -5,9 +5,11 @@ output directory and writes plain CSV/text artifacts, so every step of a
 run can be audited or rerun in isolation. All randomness flows from the
 configured seed; reruns are byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (including a query
-over the inference cost cap), 4 convergence diagnostic failure (including a
-monitored parameter whose draws do not vary within a chain).
+Exit codes: 0 success, 2 configuration error (including an output directory
+that cannot be created), 3 data error (including a query over the inference
+cost cap, or evidence whose mass underflows to 0), 4 convergence diagnostic
+failure (including a monitored parameter whose draws do not vary within a
+chain).
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ class DiagnosticFailure(Exception):
     pass
 
 
-def _out(cfg: PipelineConfig) -> Path:
-    out = Path(cfg.out_dir)
+def _make_dir(path: Path) -> Path:
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
-    return out
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return path
+
+
+def _out(cfg: PipelineConfig) -> Path:
+    return _make_dir(Path(cfg.out_dir))
 
 
 def _load_data(cfg: PipelineConfig) -> Dataset:
@@ -157,8 +162,7 @@ def _learn_candidates(cfg: PipelineConfig, data: Dataset) -> list[structlearn.Ca
 def cmd_learn(cfg: PipelineConfig) -> None:
     data = _selected_data(cfg, _load_data(cfg))
     out = _out(cfg)
-    structures = out / "structures"
-    structures.mkdir(exist_ok=True)
+    structures = _make_dir(out / "structures")
     candidates = _learn_candidates(cfg, data)
     target = data.schema.target
     for cand in candidates:
@@ -283,9 +287,9 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
     unknown = [n for n in monitor if n not in network.cpts]
     if unknown:
         raise ConfigError(f"monitor names {unknown} are not nodes of the chosen structure")
-    traces = mcmc.sample_parameters(network, cfg.mcmc_config(), monitor)
-    mcmc.export_traces(traces, out / "traces")
-    rhat = mcmc.gelman_rubin(traces)
+    draws = mcmc.sample_parameters(network, cfg.mcmc_config(), monitor)
+    mcmc.export_traces(draws, _make_dir(out / "traces"))
+    rhat = mcmc.gelman_rubin(draws)
     with open(out / "rhat.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["parameter", "r_hat"])

@@ -3,9 +3,10 @@
 With categorical nodes and Dirichlet priors the parameter posterior is an
 independent Dirichlet per CPT row, so the sampler draws exact independent
 samples per chain. Such draws need no warm-up and no thinning: each chain
-draws only the rows it keeps, into its slice of one (configs, states,
-chains * kept) buffer per node, since r-hat needs every chain at once. The
-draws feed only the traces, their densities and r-hat, which describe the
+draws only the rows it keeps. sample_parameters returns one (configs,
+states, chains, kept) array per monitored node, and parameter
+<node>_<config * states + state> is one (chains, kept) row of it. The draws
+feed only the traces, their densities and r-hat, which describe the
 parameter posterior; prediction is bayesnet.posterior_marginal's closed form.
 """
 
@@ -15,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,32 +56,6 @@ class McmcConfig:
     @property
     def kept_per_chain(self) -> int:
         return (self.sample_iters + self.thin - 1) // self.thin
-
-
-@dataclass(frozen=True)
-class TraceSet:
-    """Recorded parameter draws, one (kept, configs, states) array per chain per node.
-
-    sample_parameters gives views: each chain's arrays are transposed slices
-    of the node's (configs, states, chains * kept) draw buffer.
-    """
-
-    node_dims: dict[str, tuple[int, int]]
-    draws: dict[str, list[np.ndarray]]
-
-    @property
-    def n_chains(self) -> int:
-        return len(next(iter(self.draws.values())))
-
-    def parameters(self) -> dict[str, list[np.ndarray]]:
-        """Flat view: '<node>_<index>' -> per-chain 1-D sample arrays."""
-        out: dict[str, list[np.ndarray]] = {}
-        for node, chains in self.draws.items():
-            q, r = self.node_dims[node]
-            for j in range(q):
-                for k in range(r):
-                    out[f"{node}_{j * r + k}"] = [c[:, j, k] for c in chains]
-        return out
 
 
 @dataclass(frozen=True)
@@ -128,23 +103,28 @@ def _draw_chain(
 
 def sample_parameters(
     network: FittedNetwork, config: McmcConfig, nodes: Sequence[str] | None = None
-) -> TraceSet:
-    """Simulate CPT parameters for the requested nodes across independent chains."""
+) -> dict[str, np.ndarray]:
+    """Simulate CPT parameters for the requested nodes across independent
+    chains: one (configs, states, chains, kept) array of draws per node."""
     monitored = list(nodes) if nodes is not None else [
         n for n in network.schema.names if n in network.cpts
     ]
     for n in monitored:
         if n not in network.cpts:
             raise ValueError(f"unknown node {n!r}")
-    kept = config.kept_per_chain
-    buffers = {n: np.empty(network.cpts[n].posterior.shape + (config.chains * kept,)) for n in monitored}
-    draws: dict[str, list[np.ndarray]] = {n: [] for n in monitored}
+    shape = (config.chains, config.kept_per_chain)
+    draws = {n: np.empty(network.cpts[n].posterior.shape + shape) for n in monitored}
     for chain in range(config.chains):
-        columns = {n: buf[:, :, chain * kept : (chain + 1) * kept] for n, buf in buffers.items()}
-        for n, view in _draw_chain(network, monitored, config, chain, columns).items():
-            draws[n].append(view)
-    dims = {n: network.cpts[n].posterior.shape for n in monitored}
-    return TraceSet(dims, draws)
+        _draw_chain(network, monitored, config, chain, {n: a[:, :, chain] for n, a in draws.items()})
+    return draws
+
+
+def _parameters(draws: Mapping[str, np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:
+    """('<node>_<index>', (chains, kept) draws) for every monitored parameter:
+    index config * states + state is that row of the node's flattened draws."""
+    for node, arr in draws.items():
+        for index, series in enumerate(arr.reshape(-1, *arr.shape[2:])):
+            yield f"{node}_{index}", series
 
 
 # ---------------------------------------------------------------------------
@@ -216,32 +196,27 @@ def write_predictions(
 # convergence diagnostics and trace export
 # ---------------------------------------------------------------------------
 
-def gelman_rubin(traces: TraceSet) -> dict[str, float]:
-    """Split-chain potential scale reduction factor per parameter."""
-    params = traces.parameters()
+def gelman_rubin(draws: Mapping[str, np.ndarray]) -> dict[str, float]:
+    """Split-chain potential scale reduction factor per parameter: each
+    chain's two halves are two sequences, every parameter's at once."""
+    params = dict(_parameters(draws))
     if not params:
         raise ValueError("no monitored parameters")
-    first = next(iter(params.values()))
-    if len(first) < 2:
+    stack = np.stack(list(params.values()))
+    p, chains, kept = stack.shape
+    if chains < 2:
         raise ValueError("need at least 2 chains")
-    if min(c.size for c in first) < 10:
+    if kept < 10:
         raise ValueError("need at least 10 samples per chain")
-    out = {}
-    for name, chains in params.items():
-        half = min(c.size for c in chains) // 2
-        splits = []
-        for c in chains:
-            splits.append(c[:half])
-            splits.append(c[half : 2 * half])
-        seqs = np.vstack(splits)
-        m, n = seqs.shape
-        within = seqs.var(axis=1, ddof=1).mean()
-        if within == 0.0:
-            raise ConstantChain(f"parameter {name} has zero within-chain variance")
-        between = n * seqs.mean(axis=1).var(ddof=1)
-        var_plus = (n - 1) / n * within + between / n
-        out[name] = float(np.sqrt(var_plus / within))
-    return out
+    n = kept // 2
+    seqs = stack[:, :, : 2 * n].reshape(p, 2 * chains, n)
+    within = seqs.var(axis=2, ddof=1).mean(axis=1)
+    constant = np.flatnonzero(within == 0.0)
+    if constant.size:
+        raise ConstantChain(f"parameter {list(params)[constant[0]]} has zero within-chain variance")
+    between = n * seqs.mean(axis=2).var(axis=1, ddof=1)
+    var_plus = (n - 1) / n * within + between / n
+    return dict(zip(params, np.sqrt(var_plus / within).tolist()))
 
 
 _KDE_BLOCK_CELLS = 1 << 16  # grid x draws cells summed at a time
@@ -275,32 +250,28 @@ def _kde(samples: np.ndarray, grid_points: int = 256) -> tuple[np.ndarray, np.nd
     return grid, dens
 
 
-def export_traces(traces: TraceSet, out_dir: str | Path) -> list[Path]:
+def export_traces(draws: Mapping[str, np.ndarray], out_dir: str | Path) -> list[Path]:
     """Per-parameter trace and density CSVs under out_dir.
 
     trace_<node>_<index>.csv holds (chain, iteration, value) rows; the
     matching density_<node>_<index>.csv holds a per-chain kernel density
-    estimate as (chain, value, density) rows.
+    estimate as (chain, value, density) rows. Each chain's rows are
+    formatted in one pass and written at once.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, chains in traces.parameters().items():
-        node, index = name.rsplit("_", 1)
-        trace_path = out / f"trace_{node}_{index}.csv"
+    for name, chains in _parameters(draws):
+        trace_path = out / f"trace_{name}.csv"
         with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["chain", "iteration", "value"])
+            fh.write("chain,iteration,value\n")
             for chain_no, series in enumerate(chains, 1):
-                for it, value in enumerate(series, 1):
-                    writer.writerow([chain_no, it, repr(float(value))])
-        dens_path = out / f"density_{node}_{index}.csv"
+                fh.write("".join(f"{chain_no},{it},{v!r}\n" for it, v in enumerate(series.tolist(), 1)))
+        dens_path = out / f"density_{name}.csv"
         with open(dens_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["chain", "value", "density"])
+            fh.write("chain,value,density\n")
             for chain_no, series in enumerate(chains, 1):
                 grid, dens = _kde(series)
-                for v, d in zip(grid, dens):
-                    writer.writerow([chain_no, repr(float(v)), repr(float(d))])
+                fh.write("".join(f"{chain_no},{v!r},{d!r}\n" for v, d in zip(grid.tolist(), dens.tolist())))
         written.extend([trace_path, dens_path])
     return written

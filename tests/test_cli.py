@@ -15,7 +15,7 @@ from bnpipeline import bayesnet
 from bnpipeline.bayesnet import Dag, read_structure, write_structure
 from bnpipeline.cli import _md_table, main
 from bnpipeline.config import ConfigError, dump_config, load_config, parse_config_text
-from bnpipeline.dataset import Dataset, Schema, VariableSpec, write_csv, write_schema
+from bnpipeline.dataset import Dataset, Schema, VariableSpec, make_split, write_csv, write_schema
 from bnpipeline.simulate import sample_dataset
 from test_bayesnet import five_state_chain
 
@@ -488,6 +488,48 @@ class TestConfigAndDataDefects:
         assert run(phase, "--config", "pipeline.ini", "--out", out) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot create output directory {out}:")
+
+    @pytest.mark.parametrize("phase, taken", [("learn", "structures"), ("fit-predict", "traces")])
+    def test_output_subdirectory_that_cannot_be_created_is_2(self, workspace, capsys, phase, taken):
+        (workspace / "named.ini").write_text(
+            CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
+            .replace("[predict]", "[predict]\nmodel = naive"),
+            encoding="utf-8",
+        )
+        for upstream in ("select", "learn")[: 1 if phase == "learn" else 2]:
+            assert run(upstream, "--config", "named.ini") == 0
+        (workspace / "out").mkdir(exist_ok=True)
+        (workspace / "out" / taken).write_text("a file, not a directory\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(phase, "--config", "named.ini") == 2
+        err = capsys.readouterr().err.splitlines()
+        prefix = f"config error: cannot create output directory {Path('out', taken)}:"
+        assert len(err) == 1 and err[0].startswith(prefix)
+
+    def test_evidence_mass_underflow_is_3(self, tmp_path, monkeypatch, capsys):
+        # naive Bayes over 40 binary predictors at alpha0 = 1e-9, trained on
+        # rows whose predictors are all 0: the one test record whose
+        # predictors are all 1 multiplies 40 posterior means near 1e-11
+        monkeypatch.chdir(tmp_path)
+        specs = [VariableSpec("T", ("0", "1"), "target")]
+        specs += [VariableSpec(f"X{i}", ("0", "1")) for i in range(40)]
+        schema = Schema(tuple(specs))
+        records = np.zeros((60, 41), dtype=np.int64)
+        records[:, 0] = np.random.default_rng(3).integers(0, 2, 60)
+        records[make_split(60, 0.15, 10, 0.08, 5).test_idx[0], 1:] = 1
+        write_csv(Dataset(schema, records), tmp_path / "wide.csv")
+        write_schema(schema, tmp_path / "wide.schema")
+        (tmp_path / "wide.ini").write_text(
+            "[data]\ndataset = wide.csv\nschema = wide.schema\n\n[learn]\nlearners = naive\n\n"
+            "[split]\nseed = 5\n\n[model]\nalpha0 = 1e-9\n\n[predict]\nmodel = naive\n",
+            encoding="utf-8",
+        )
+        assert run("learn", "--config", "wide.ini") == 0
+        assert run("fit-predict", "--config", "wide.ini") == 3
+        assert capsys.readouterr().err == (
+            "data error: the evidence mass of 1 record(s) underflowed to 0 in floating point; "
+            "try a larger [model] alpha0\n"
+        )
 
     def test_keep_naming_no_variable_is_2(self, workspace, capsys):
         (workspace / "keep.ini").write_text(

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import tracemalloc
@@ -14,7 +15,6 @@ from bnpipeline.mcmc import (
     ConstantChain,
     McmcConfig,
     PosteriorPredictive,
-    TraceSet,
     export_traces,
     gelman_rubin,
     posterior_predict,
@@ -81,16 +81,14 @@ class TestSampleParameters:
     def test_prior_sampling_mean(self):
         net = single_node_network([1.0, 1.0, 1.0])
         cfg = McmcConfig(seed=5, chains=2, adapt_iters=0, burnin_iters=0, sample_iters=4000)
-        traces = sample_parameters(net, cfg)
-        draws = np.concatenate(traces.draws["A"], axis=0)[:, 0, :]
+        draws = sample_parameters(net, cfg)["A"][0].reshape(3, -1).T
         se = draws.std(axis=0) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - 1 / 3) <= 3 * se + 1e-3)
 
     def test_posterior_mean_two_one(self):
         net = single_node_network([3.0, 2.0])  # counts (2,1) plus flat prior
         cfg = McmcConfig(seed=6, chains=3, adapt_iters=100, burnin_iters=100, sample_iters=4000)
-        traces = sample_parameters(net, cfg)
-        draws = np.concatenate(traces.draws["A"], axis=0)[:, 0, 0]
+        draws = sample_parameters(net, cfg)["A"][0, 0].ravel()
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - 0.6) <= 3 * se + 1e-3
 
@@ -99,25 +97,23 @@ class TestSampleParameters:
         cfg = McmcConfig(seed=7, chains=2, adapt_iters=10, burnin_iters=10, sample_iters=50)
         a = sample_parameters(net, cfg)
         b = sample_parameters(net, cfg)
-        for node in a.draws:
-            for ca, cb in zip(a.draws[node], b.draws[node]):
-                assert np.array_equal(ca, cb)
+        assert list(a) == list(b) == ["A", "B", "C"]
+        for node in a:
+            assert np.array_equal(a[node], b[node])
 
     def test_rows_stay_on_simplex(self):
         net = toy_chain_network()
         cfg = McmcConfig(seed=8, chains=2, adapt_iters=0, burnin_iters=0, sample_iters=200)
-        traces = sample_parameters(net, cfg)
-        for chains in traces.draws.values():
-            for arr in chains:
-                assert np.all(arr >= 0)
-                assert np.allclose(arr.sum(axis=2), 1.0, atol=1e-9)
+        for arr in sample_parameters(net, cfg).values():
+            assert np.all(arr >= 0)
+            assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-9)
 
     def test_thinning_and_monitor_subset(self):
         net = toy_chain_network()
         cfg = McmcConfig(seed=9, chains=2, adapt_iters=0, burnin_iters=0, sample_iters=100, thin=4)
-        traces = sample_parameters(net, cfg, nodes=["B"])
-        assert list(traces.draws) == ["B"]
-        assert traces.draws["B"][0].shape[0] == 25
+        draws = sample_parameters(net, cfg, nodes=["B"])
+        assert list(draws) == ["B"]
+        assert draws["B"].shape == (3, 3, 2, 25)  # (configs, states, chains, kept)
 
     def test_unknown_node(self):
         net = toy_chain_network()
@@ -134,10 +130,9 @@ class TestSampleParameters:
         base = {"seed": 12, "chains": 2, "adapt_iters": 0, "burnin_iters": 0}
         a = sample_parameters(net, McmcConfig(**{**base, **schedule}))
         b = sample_parameters(net, McmcConfig(**{**base, **same_as}))
-        for node in a.draws:
-            for ca, cb in zip(a.draws[node], b.draws[node], strict=True):
-                assert ca.shape[0] == 25
-                assert np.array_equal(ca, cb)
+        for node in a:
+            assert a[node].shape[2:] == (2, 25)
+            assert np.array_equal(a[node], b[node])
 
 
 class TestSummaries:
@@ -263,33 +258,33 @@ class TestGelmanRubin:
 
     def test_disjoint_chains_blow_up(self):
         rng = np.random.default_rng(0)
-        low = 0.1 + 0.001 * rng.standard_normal((500, 1, 1))
-        high = 0.9 + 0.001 * rng.standard_normal((500, 1, 1))
-        traces = TraceSet({"A": (1, 1)}, {"A": [low, high]})
-        rhat = gelman_rubin(traces)
+        low = 0.1 + 0.001 * rng.standard_normal(500)
+        high = 0.9 + 0.001 * rng.standard_normal(500)
+        rhat = gelman_rubin({"A": np.stack([low, high]).reshape(1, 1, 2, 500)})
         assert rhat["A_0"] > 1.1
 
     def test_constant_chains_error(self):
-        flat = np.full((100, 1, 1), 0.5)
-        traces = TraceSet({"A": (1, 1)}, {"A": [flat, flat.copy()]})
+        flat = np.full((1, 1, 2, 100), 0.5)
         with pytest.raises(ConstantChain):
-            gelman_rubin(traces)
+            gelman_rubin({"A": flat})
 
     def test_preconditions(self):
-        arr = np.random.default_rng(1).random((100, 1, 1))
-        with pytest.raises(ValueError):
-            gelman_rubin(TraceSet({"A": (1, 1)}, {"A": [arr]}))
-        short = np.random.default_rng(2).random((5, 1, 1))
-        with pytest.raises(ValueError):
-            gelman_rubin(TraceSet({"A": (1, 1)}, {"A": [short, short]}))
+        with pytest.raises(ValueError, match="no monitored parameters"):
+            gelman_rubin({})
+        one_chain = np.random.default_rng(1).random((1, 1, 1, 100))
+        with pytest.raises(ValueError, match="need at least 2 chains"):
+            gelman_rubin({"A": one_chain})
+        short = np.random.default_rng(2).random((1, 1, 1, 5))
+        with pytest.raises(ValueError, match="need at least 10 samples per chain"):
+            gelman_rubin({"A": np.concatenate([short, short], axis=2)})
 
 
 class TestExportTraces:
     def test_files_and_row_counts(self, tmp_path):
         net = single_node_network([2.0, 3.0, 4.0])
         cfg = McmcConfig(seed=40, chains=3, adapt_iters=0, burnin_iters=0, sample_iters=1000)
-        traces = sample_parameters(net, cfg)
-        export_traces(traces, tmp_path)
+        draws = sample_parameters(net, cfg)
+        export_traces(draws, tmp_path)
         for k in range(3):
             trace = tmp_path / f"trace_A_{k}.csv"
             assert trace.is_file()
@@ -298,7 +293,7 @@ class TestExportTraces:
             assert len(lines) == 1 + 3 * 1000
         # same run, same files
         again = tmp_path / "again"
-        export_traces(traces, again)
+        export_traces(draws, again)
         assert (again / "trace_A_1.csv").read_bytes() == (tmp_path / "trace_A_1.csv").read_bytes()
 
     def test_density_integrates_to_one(self, tmp_path):
@@ -404,7 +399,7 @@ class TestSamplerReference:
         if alpha0 < 0.1:
             assert (net.cpts["C"].posterior.max(axis=1) < 0.1).any()
         cfg = McmcConfig(seed=23, chains=3, sample_iters=30)
-        traces = sample_parameters(net, cfg)
+        draws = sample_parameters(net, cfg)
         for chain in range(cfg.chains):
             rng = np.random.default_rng(np.random.SeedSequence(23, spawn_key=(chain, 0)))
             for node in schema.names:
@@ -412,7 +407,7 @@ class TestSamplerReference:
                 want = np.empty((30,) + post.shape)
                 for j, row in enumerate(post):
                     want[:, j, :] = rng.dirichlet(row, size=30)
-                assert np.array_equal(traces.draws[node][chain], want)
+                assert np.array_equal(draws[node][:, :, chain], want.transpose(1, 2, 0))
 
 
 def tan_network(predictors=10, states=5, n=300, seed=71):
@@ -509,3 +504,110 @@ class TestKde:
         want_grid, want_dens = one_shot_kde(samples)
         assert np.array_equal(grid, want_grid)
         assert np.array_equal(dens, want_dens)
+
+
+def reference_parameters(draws):
+    """'<node>_<index>' -> per-chain 1-D draws, index config * states + state."""
+    out = {}
+    for node, arr in draws.items():
+        q, r, chains, _ = arr.shape
+        for j in range(q):
+            for k in range(r):
+                out[f"{node}_{j * r + k}"] = [arr[j, k, c] for c in range(chains)]
+    return out
+
+
+def reference_gelman_rubin(draws):
+    """Split-chain r-hat one parameter at a time."""
+    params = reference_parameters(draws)
+    if not params:
+        raise ValueError("no monitored parameters")
+    first = next(iter(params.values()))
+    if len(first) < 2:
+        raise ValueError("need at least 2 chains")
+    if min(c.size for c in first) < 10:
+        raise ValueError("need at least 10 samples per chain")
+    out = {}
+    for name, chains in params.items():
+        half = min(c.size for c in chains) // 2
+        splits = []
+        for c in chains:
+            splits.append(c[:half])
+            splits.append(c[half : 2 * half])
+        seqs = np.vstack(splits)
+        m, n = seqs.shape
+        within = seqs.var(axis=1, ddof=1).mean()
+        if within == 0.0:
+            raise ConstantChain(f"parameter {name} has zero within-chain variance")
+        between = n * seqs.mean(axis=1).var(ddof=1)
+        var_plus = (n - 1) / n * within + between / n
+        out[name] = float(np.sqrt(var_plus / within))
+    return out
+
+
+def reference_export_traces(draws, out):
+    """Trace and density CSVs written one csv.writer row at a time."""
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, chains in reference_parameters(draws).items():
+        node, index = name.rsplit("_", 1)
+        trace_path = out / f"trace_{node}_{index}.csv"
+        with open(trace_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["chain", "iteration", "value"])
+            for chain_no, series in enumerate(chains, 1):
+                for it, value in enumerate(series, 1):
+                    writer.writerow([chain_no, it, repr(float(value))])
+        dens_path = out / f"density_{node}_{index}.csv"
+        with open(dens_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["chain", "value", "density"])
+            for chain_no, series in enumerate(chains, 1):
+                grid, dens = one_shot_kde(series)
+                for v, d in zip(grid, dens):
+                    writer.writerow([chain_no, repr(float(v)), repr(float(d))])
+        written.extend([trace_path, dens_path])
+    return written
+
+
+def monitored_network(seed):
+    """A seeded random network with at least two nodes that have parents,
+    and the nodes to monitor: those, then one more node when there is one."""
+    rng = np.random.default_rng(seed)
+    while True:
+        net = random_network(rng)
+        with_parents = [n for n in net.dag.nodes if net.dag.parents(n)]
+        if len(with_parents) >= 2:
+            rest = [n for n in net.dag.nodes if n not in with_parents]
+            return net, with_parents + rest[:1]
+
+
+class TestDiagnosticsReference:
+    @pytest.mark.parametrize("seed, chains, kept", [
+        (91, 2, 31), (92, 3, 40), (93, 4, 25), (94, 3, 777), (95, 2, 2000), (96, 4, 10),
+    ])
+    def test_rhat_and_files_equal_the_per_parameter_reference(self, tmp_path, seed, chains, kept):
+        net, monitor = monitored_network(seed)
+        draws = sample_parameters(net, McmcConfig(seed=seed, chains=chains, sample_iters=kept), monitor)
+        assert [draws[n].shape[2:] for n in monitor] == [(chains, kept)] * len(monitor)
+        want = reference_gelman_rubin(draws)
+        got = gelman_rubin(draws)
+        assert list(got) == list(want)
+        assert got == want
+        written = export_traces(draws, tmp_path / "new")
+        expected = reference_export_traces(draws, tmp_path / "ref")
+        assert [p.name for p in written] == [p.name for p in expected]
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == sorted(p.name for p in expected)
+        for new, ref in zip(written, expected):
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_constant_chain_names_the_first_constant_parameter(self):
+        rng = np.random.default_rng(97)
+        draws = {"A": rng.random((1, 2, 2, 20)), "B": rng.random((2, 2, 2, 20))}
+        draws["B"][1, 0] = 0.25  # B_2
+        draws["B"][1, 1] = 0.75  # B_3
+        with pytest.raises(ConstantChain, match="parameter B_2 has") as got:
+            gelman_rubin(draws)
+        with pytest.raises(ConstantChain) as want:
+            reference_gelman_rubin(draws)
+        assert str(got.value) == str(want.value)
