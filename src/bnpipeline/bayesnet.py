@@ -227,45 +227,72 @@ def cpt_parameter_count(network: FittedNetwork, node: str) -> int:
     return _config_count(network.schema, cpt.parent_order) * network.schema.cardinality(node)
 
 
-def family_counts(data: Dataset, node: str, parents: Sequence[str]) -> np.ndarray:
+def family_counts(
+    data: Dataset, node: str, parents: Sequence[str], folds: np.ndarray | None = None, n_folds: int = 0
+) -> np.ndarray:
     """Count table (parent configurations x node states) for one family;
     EnumerationTooLarge if it would hold more than DEFAULT_ENUMERATION_CAP
-    cells."""
+    cells. With folds, an index below n_folds for each row of data, one
+    table per fold from the same pass: shape (n_folds, configs, states)."""
     cells = math.prod(data.schema.cardinality(n) for n in (*parents, node))
     if cells > DEFAULT_ENUMERATION_CAP:
         raise EnumerationTooLarge(
             f"family table of {node!r} over {len(parents)} parents has {cells} cells, "
             f"over cap {DEFAULT_ENUMERATION_CAP}"
         )
-    return contingency_table(data, (*parents, node)).reshape(-1, data.schema.cardinality(node))
+    leading = () if folds is None else (n_folds,)
+    table = contingency_table(data, (*parents, node), folds, n_folds)
+    return table.reshape(*leading, -1, data.schema.cardinality(node))
 
 
-def fit_conjugate(dag: Dag, data: Dataset, alpha0: float = 1.0) -> FittedNetwork:
-    """Tally per-family counts and attach uniform Dirichlet(alpha0) priors."""
+def fit_conjugate(
+    dag: Dag, data: Dataset, alpha0: float = 1.0, counted: dict | None = None
+) -> FittedNetwork:
+    """Tally per-family counts and attach uniform Dirichlet(alpha0) priors.
+
+    counted, when given, holds the family tables already counted on data,
+    keyed by (node, parent order), and gains the ones counted here: fits of
+    several DAGs on one dataset then count each shared family once."""
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     missing = set(dag.nodes) - set(data.schema.names)
     if missing:
         raise DataError(f"data lacks variables {sorted(missing)}")
+    counted = {} if counted is None else counted
     cpts = {}
     for node in dag.nodes:
         order = _parent_order(dag, data.schema, node)
-        counts = family_counts(data, node, order).astype(float)
+        if (node, order) not in counted:
+            counted[node, order] = family_counts(data, node, order).astype(float)
+        counts = counted[node, order]
         cpts[node] = Cpt(node, order, np.full(counts.shape, float(alpha0)), counts)
     return FittedNetwork(dag, data.schema, cpts)
 
 
-def subtract_counts(network: FittedNetwork, data: Dataset) -> FittedNetwork:
+def subtract_counts(
+    network: FittedNetwork, data: Dataset, folds: np.ndarray | None = None
+) -> FittedNetwork | list[FittedNetwork]:
     """The network as fitted without data's rows, which must be among the
     rows it was fitted on: each CPT keeps its prior and loses those rows'
-    family counts. Counts are additive, so this equals a refit on the rest."""
-    cpts = {}
+    family counts. Counts are additive, so this equals a refit on the rest.
+
+    With folds, the fold index of each row of data (0 up to its largest
+    value), returns one network per fold, each fitted without that fold's
+    rows only; each family is counted once for all folds."""
+    n_folds = int(np.max(folds, initial=-1)) + 1 if folds is not None else 1
+    counts = {}
     for node, cpt in network.cpts.items():
-        counts = cpt.counts - family_counts(data, node, cpt.parent_order)
-        if np.any(counts < 0):
+        table = cpt.counts - family_counts(data, node, cpt.parent_order, folds, n_folds)
+        if np.any(table < 0):
             raise ValueError(f"rows to subtract were not all fitted ({node!r} counts below 0)")
-        cpts[node] = Cpt(node, cpt.parent_order, cpt.alpha, counts)
-    return FittedNetwork(network.dag, network.schema, cpts)
+        counts[node] = table if folds is not None else table[None]
+    fitted = [
+        FittedNetwork(network.dag, network.schema, {
+            node: Cpt(node, cpt.parent_order, cpt.alpha, counts[node][f]) for node, cpt in network.cpts.items()
+        })
+        for f in range(n_folds)
+    ]
+    return fitted if folds is not None else fitted[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +306,22 @@ _BLOCK_CELLS = 1 << 17
 
 def missing_groups(observed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(pattern, row indices) for each distinct row of a records x variables
-    boolean mask of which variables each record observes."""
-    patterns, inverse = np.unique(observed, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    return [(pattern, np.flatnonzero(inverse == g)) for g, pattern in enumerate(patterns)]
+    boolean mask of which variables each record observes: the groups of
+    np.unique(axis=0), in its order (patterns compared column by column,
+    False first), each group's rows ascending. Each row's bits are packed
+    into big-endian 64-bit words, so a stable lexsort of a few integer keys
+    orders the rows; np.unique's sort of whole rows as byte strings is
+    many times slower."""
+    n, m = observed.shape
+    packed = np.zeros((n, max(1, -(-m // 64)) * 8), dtype=np.uint8)
+    packed[:, : -(-m // 8)] = np.packbits(observed, axis=1)
+    keys = packed.view(">u8").astype(np.uint64)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    change = np.ones(n, dtype=bool)
+    change[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = np.flatnonzero(change)
+    return [(observed[order[a]], order[a:b]) for a, b in zip(first.tolist(), [*first[1:].tolist(), n])]
 
 
 def min_fill_order(
@@ -361,6 +400,7 @@ def eliminate(
     records: np.ndarray,
     query: Sequence[str],
     max_states: int = DEFAULT_ENUMERATION_CAP,
+    sets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unnormalized joint mass of each record's evidence with every query
     state, averaged over draws: shape (records, *query cardinalities).
@@ -370,7 +410,11 @@ def eliminate(
     stack as (configs * states, draws), so a stack that is the transposed
     view of a C-contiguous (configs, states, draws) buffer is read in place;
     any other layout is copied once. records holds state indices in schema
-    column order, -1 where unobserved; query columns are ignored.
+    column order, -1 where unobserved; query columns are ignored. With sets,
+    one index into the stacks for each record, the stacks are parameter
+    sets rather than draws: record i reads only stack sets[i], and nothing
+    is averaged. Its gathers then index the stacks flattened whole, each
+    record offset by its set.
     Records are grouped by which variables they leave unobserved. Fully
     observed families are skipped: they cancel under normalization and
     factor out of the draw average. The unobserved variables are summed out
@@ -387,9 +431,16 @@ def eliminate(
     records = np.asarray(records, dtype=np.int64)
     observed = records[:, [schema.index(n) for n in nodes]] >= 0
     observed[:, [nodes.index(q) for q in query]] = False
-    n_draws = len(next(iter(params.values())))
-    # (configs * states, draws): a gather then copies whole rows of draws
-    flat = {n: stack.transpose(1, 2, 0).reshape(-1, n_draws) for n, stack in params.items()}
+    if sets is None:
+        n_draws = len(next(iter(params.values())))
+        # (configs * states, draws): a gather then copies whole rows of draws
+        flat = {n: stack.transpose(1, 2, 0).reshape(-1, n_draws) for n, stack in params.items()}
+        set_size = dict.fromkeys(params, 0)
+    else:
+        n_draws = 1
+        flat = {n: np.reshape(stack, (-1, 1)) for n, stack in params.items()}
+        set_size = {n: stack[0].size for n, stack in params.items()}
+        sets = np.asarray(sets, dtype=np.int64)
     out = np.empty((len(records),) + tuple(card[q] for q in query))
     for pattern, rows in missing_groups(observed):
         free = {n for n, seen in zip(nodes, pattern) if not seen}
@@ -401,7 +452,7 @@ def eliminate(
             strides = dict(zip(scope, [s * card[node] for s in _config_strides(schema, scope[:-1])] + [1]))
             families.append((node, tuple(v for v in scope if v in free), strides))
         steps, width = _elimination_steps([hidden for _, hidden, _ in families], card, query, max_states)
-        plan = []  # per step: (flat stack, free-state offsets, observed strides) of each factor, messages, axis
+        plan = []  # per step: (flat stack, free-state offsets, observed strides, set size) of each factor, messages, axis
         for labels, factors, messages, axis in steps:
             gathers = []
             for node, hidden, strides in (families[i] for i in factors):
@@ -409,19 +460,20 @@ def eliminate(
                     np.reshape(np.arange(card[u]) * strides[u], [-1 if w == u else 1 for w in labels]) for u in hidden
                 )
                 fixed = {schema.index(u): s for u, s in strides.items() if u not in free}
-                gathers.append((flat[node], offsets, fixed))
+                gathers.append((flat[node], offsets, fixed, set_size[node]))
             plan.append((gathers, messages, axis))
         # the last step's labels are sorted; put them in query order
         final = (0, *(1 + steps[-1][0].index(q) for q in query))
         step = max(1, _BLOCK_CELLS // (n_draws * 2 * width))
         for start in range(0, len(rows), step):
             block = records[rows[start : start + step]]
+            block_sets = 0 if sets is None else sets[rows[start : start + step]]
             results = []
             for gathers, messages, axis in plan:
                 acc = None
-                for table, offsets, fixed in gathers:
-                    # a family with no observed variable gets a record axis of size 1
-                    base = sum(block[:, col] * stride for col, stride in fixed.items())
+                for table, offsets, fixed, size in gathers:
+                    # without sets, a family with no observed variable gets a record axis of size 1
+                    base = sum(block[:, col] * stride for col, stride in fixed.items()) + block_sets * size
                     acc = _multiply_into(acc, table[np.reshape(base, (-1,) + (1,) * offsets.ndim) + offsets])
                 for m, shape in messages:
                     message = results[m]
@@ -443,15 +495,21 @@ def _multiply_into(acc: np.ndarray | None, factor: np.ndarray) -> np.ndarray:
 
 
 def posterior_marginal(
-    network: FittedNetwork,
+    networks: FittedNetwork | Sequence[FittedNetwork],
     records: np.ndarray,
     query: Sequence[str],
     max_states: int = DEFAULT_ENUMERATION_CAP,
+    sets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Posterior-predictive distribution of the query variables given each
     row of records, a records x schema matrix of state indices (-1 where
     unobserved) whose query columns are ignored: shape (records, *query
     cardinalities), each record's entries summing to 1.
+
+    networks is one fitted network, or several fitted over one DAG and
+    schema (such as one per cross-validation fold) with sets, the index of
+    the network that scores each record. Their posterior means are stacked,
+    so that one eliminate call scores every record under its own network.
 
     Prediction needs no parameter draws. With Dirichlet priors and complete
     training data the CPT rows are independent Dirichlets, and every term of
@@ -462,20 +520,30 @@ def posterior_marginal(
     posterior mean is positive, so a record whose mass comes out 0 lost it
     to float underflow in the product of many small factors.
     """
+    networks = [networks] if isinstance(networks, FittedNetwork) else list(networks)
+    network = networks[0]
     schema = network.schema
+    if any(net.dag != network.dag or net.schema != schema for net in networks):
+        raise ValueError("networks must share one DAG and one schema")
     for qv in query:
         if qv not in network.dag.nodes:
             raise GraphError(f"unknown query variable {qv!r}")
     records = np.asarray(records, dtype=np.int64)
     if records.ndim != 2 or records.shape[1] != len(schema.names):
         raise ValueError(f"records must be a matrix with {len(schema.names)} columns")
+    if sets is not None:
+        sets = np.asarray(sets, dtype=np.int64)
+        if sets.shape != (len(records),) or np.any((sets < 0) | (sets >= len(networks))):
+            raise ValueError(f"sets must hold one network index below {len(networks)} per record")
+    elif len(networks) > 1:
+        raise ValueError("several networks need sets, the network index of each record")
     bad = (records < -1) | (records >= [schema.cardinality(n) for n in schema.names])
     bad[:, [schema.index(q) for q in query]] = False
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ValueError(f"unknown evidence state {records[row, col]} for {schema.names[col]!r}")
-    mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
-    mass = eliminate(network, mean, records, query, max_states)
+    mean = {node: np.stack([net.cpts[node].posterior_mean for net in networks]) for node in network.cpts}
+    mass = eliminate(network, mean, records, query, max_states, sets)
     total = mass.sum(axis=tuple(range(1, mass.ndim)), keepdims=True)
     if np.any(total <= 0):
         raise EvidenceUnderflow(

@@ -58,6 +58,8 @@ def _selected_data(cfg: PipelineConfig, data: Dataset) -> Dataset:
     if not marker.is_file():
         return data
     names = [line for _, line in content_lines(marker.read_text(encoding="utf-8"))]
+    if tuple(names) == data.schema.names:  # every variable, in schema order: nothing to copy
+        return data
     return data.select_variables(names)
 
 

@@ -110,12 +110,17 @@ def cross_validate(
 ) -> CvResult:
     """Fit every candidate on train-minus-fold and score it on each fold.
 
-    Each candidate is fitted once on the training split; its network for a
-    fold is that fit minus the fold's own family counts, which equals a refit
-    on train-minus-fold because counts are additive. Each (fold, candidate)
-    pair then costs one closed-form posterior_marginal call, so every pair
-    runs in this process. The winner is the model with the smallest average
-    RMSE over folds (ties go to the lexicographically first label).
+    Each candidate is fitted once on the training split, and a family that
+    several candidates share is counted once. Its network for a fold is that
+    fit minus the fold's own family counts, which equals a refit on
+    train-minus-fold because counts are additive. Per candidate, one
+    subtract_counts call counts the held-out rows of every fold in one pass
+    per family, with a leading fold axis, and one posterior_marginal call
+    scores the rows of every fold, each under its own fold's network. Each
+    fold's metrics come from its own rows, and fold_metrics lists the
+    (fold, candidate) pairs fold by fold. The winner is the model with the
+    smallest average RMSE over folds (ties go to the lexicographically
+    first label).
     """
     if not candidates:
         raise ValueError("no candidate models")
@@ -125,17 +130,24 @@ def cross_validate(
     target = data.schema.target
     values = np.asarray(numeric_state_values(data.schema.spec(target)))
     train_data = data.subset(split.train_idx)
-    fitted = [fit_conjugate(cand.dag, train_data, alpha0) for cand in candidates]
+    counted: dict = {}  # family tables on the training rows, shared by the candidates
+    fitted = [fit_conjugate(cand.dag, train_data, alpha0, counted) for cand in candidates]
+
+    sizes = [len(fold) for fold in split.folds]
+    held_out = data.subset([i for fold in split.folds for i in fold])
+    folds = np.repeat(np.arange(len(sizes)), sizes)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    truth = values[held_out.column(target)]
+    predicted = []  # per candidate: the predicted value of every held-out row
+    for network in fitted:
+        probs = posterior_marginal(subtract_counts(network, held_out, folds), held_out.records, (target,), sets=folds)
+        predicted.append(values[probs.argmax(axis=1)])
 
     results = []
     sums: dict[str, list[float]] = {c.label: [0.0, 0.0] for c in candidates}
-    for f, fold in enumerate(split.folds):
-        rows = list(fold)
-        held_out = data.subset(rows)
-        truth = values[data.records[rows, data.schema.index(target)]]
-        for label, network in zip(labels, fitted):
-            probs = posterior_marginal(subtract_counts(network, held_out), data.records[rows], (target,))
-            m = metrics(values[probs.argmax(axis=1)], truth, literal_rmse=literal_rmse)
+    for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for label, pred in zip(labels, predicted):
+            m = metrics(pred[lo:hi], truth[lo:hi], literal_rmse=literal_rmse)
             results.append((label, f + 1, m))
             sums[label][0] += m.accuracy
             sums[label][1] += m.rmse

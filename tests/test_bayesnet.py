@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bnpipeline import bayesnet
 from bnpipeline.bayesnet import (
     Cpt,
     CycleError,
@@ -17,6 +19,8 @@ from bnpipeline.bayesnet import (
     fit_conjugate,
     joint_marginal,
     min_fill_order,
+    missing_groups,
+    posterior_marginal,
     read_structure,
     sensitivity,
     sensitivity_report,
@@ -160,6 +164,31 @@ class TestSubtractCounts:
         with pytest.raises(ValueError, match="below 0"):
             subtract_counts(empty, rows)
 
+    def test_fold_axis_equals_one_subtraction_per_fold(self):
+        net = random_network(np.random.default_rng(10))
+        rng = np.random.default_rng(11)
+        data = Dataset(net.schema, np.column_stack(
+            [rng.integers(0, net.schema.cardinality(n), 90) for n in net.schema.names]
+        ))
+        whole = fit_conjugate(net.dag, data, alpha0=0.5)
+        held_out = data.subset(range(30))
+        folds = rng.integers(0, 4, 30)
+        folds[-1] = 3  # the largest index sets the number of folds
+        nets = subtract_counts(whole, held_out, folds)
+        assert len(nets) == 4
+        for f, got in enumerate(nets):
+            want = subtract_counts(whole, held_out.subset(np.flatnonzero(folds == f)))
+            for node, cpt in want.cpts.items():
+                assert np.array_equal(got.cpts[node].counts, cpt.counts)
+                assert np.array_equal(got.cpts[node].alpha, cpt.alpha)
+
+    def test_fold_rows_not_fitted_rejected(self):
+        net = random_network(np.random.default_rng(8))
+        empty = fit_conjugate(net.dag, Dataset(net.schema, np.empty((0, len(net.schema.names)))))
+        rows = Dataset(net.schema, np.zeros((2, len(net.schema.names)), dtype=np.int64))
+        with pytest.raises(ValueError, match="below 0"):
+            subtract_counts(empty, rows, np.array([0, 1]))
+
 
 def reconstructed_review_structure():
     """Tree-skeleton network over one 10-state root target, a 5-state second
@@ -186,6 +215,28 @@ def reconstructed_review_structure():
     dag = Dag(schema.names, edges)
     data = Dataset(schema, np.empty((0, 9), dtype=np.int64))
     return fit_conjugate(dag, data)
+
+
+class TestSharedFamilyCounts:
+    def test_each_family_counted_once_across_fits(self, monkeypatch):
+        net = random_network(np.random.default_rng(12), max_nodes=5)
+        rng = np.random.default_rng(13)
+        data = Dataset(net.schema, np.column_stack(
+            [rng.integers(0, net.schema.cardinality(n), 50) for n in net.schema.names]
+        ))
+        dags = [net.dag, Dag(net.dag.nodes), net.dag]
+        alone = [fit_conjugate(dag, data, 0.5) for dag in dags]
+        counted_families = []
+        count = bayesnet.family_counts
+        monkeypatch.setattr(
+            bayesnet, "family_counts", lambda d, node, parents: counted_families.append((node, parents)) or count(d, node, parents)
+        )
+        counted = {}
+        shared = [fit_conjugate(dag, data, 0.5, counted) for dag in dags]
+        assert sorted(counted_families) == sorted(set(counted_families)) == sorted(counted)
+        for got, want in zip(shared, alone):
+            for node, cpt in want.cpts.items():
+                assert np.array_equal(got.cpts[node].counts, cpt.counts)
 
 
 class TestParameterCounts:
@@ -484,6 +535,78 @@ class TestEliminate:
                 pair = joint.sum(axis=tuple(i for i in range(len(names)) if i not in (ia, ib)))
                 want = pair if ia < ib else pair.T
                 assert np.allclose(joint_marginal(net, {}, (a, b)), want, atol=1e-9)
+
+
+def unique_groups(observed):
+    """Reference: the groups np.unique(axis=0) finds, in its order."""
+    patterns, inverse = np.unique(observed, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    return [(pattern, np.flatnonzero(inverse == g)) for g, pattern in enumerate(patterns)]
+
+
+class TestMissingGroups:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2000), st.integers(1, 130), st.integers(1, 40),
+        st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+    )
+    def test_matches_np_unique(self, rows, cols, distinct, density, seed):
+        # rows drawn from a pool of patterns, so that groups hold several rows
+        rng = np.random.default_rng(seed)
+        pool = rng.random((distinct, cols)) < density
+        observed = pool[rng.integers(0, distinct, rows)]
+        got = missing_groups(observed)
+        want = unique_groups(observed)
+        assert len(got) == len(want)
+        for (pattern, members), (want_pattern, want_members) in zip(got, want):
+            assert pattern.dtype == bool and np.array_equal(pattern, want_pattern)
+            assert np.array_equal(members, want_members)
+
+
+class TestEliminateSets:
+    @pytest.mark.parametrize("block_cells", [bayesnet._BLOCK_CELLS, 1])
+    def test_matches_one_call_per_set(self, monkeypatch, block_cells):
+        monkeypatch.setattr(bayesnet, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(54)
+        for _ in range(12):
+            net = random_network(rng)
+            names = list(net.schema.names)
+            query = (names[int(rng.integers(len(names)))],)
+            n_sets = int(rng.integers(1, 5))
+            stacks = {  # (sets, configs, states)
+                n: np.stack([rng.dirichlet(row, size=n_sets) for row in net.cpts[n].posterior], axis=1)
+                for n in names
+            }
+            records = np.column_stack(
+                [rng.integers(0, net.schema.cardinality(n), size=30) for n in names]
+            )
+            records[rng.random(records.shape) < 0.4] = -1
+            sets = rng.integers(0, n_sets, size=30)
+            got = eliminate(net, stacks, records, query, sets=sets)
+            for s in range(n_sets):
+                own = eliminate(net, {n: stack[s : s + 1] for n, stack in stacks.items()}, records[sets == s], query)
+                assert np.array_equal(got[sets == s], own)
+
+    def test_posterior_marginal_scores_each_record_under_its_network(self):
+        rng = np.random.default_rng(55)
+        net = random_network(rng)
+        data = Dataset(net.schema, np.column_stack(
+            [rng.integers(0, net.schema.cardinality(n), 60) for n in net.schema.names]
+        ))
+        whole = fit_conjugate(net.dag, data)
+        folds = np.repeat([0, 1, 2], 20)
+        nets = subtract_counts(whole, data, folds)
+        query = (net.schema.target,)
+        got = posterior_marginal(nets, data.records, query, sets=folds)
+        for f, fold_net in enumerate(nets):
+            assert np.array_equal(got[folds == f], posterior_marginal(fold_net, data.records[folds == f], query))
+        with pytest.raises(ValueError, match="sets"):
+            posterior_marginal(nets, data.records, query)
+        with pytest.raises(ValueError, match="sets"):
+            posterior_marginal(nets, data.records, query, sets=folds + 1)
+        other = fit_conjugate(Dag(net.dag.nodes), data)
+        with pytest.raises(ValueError, match="one DAG"):
+            posterior_marginal([nets[0], other], data.records, query, sets=folds % 2)
 
 
 class TestSensitivityRanking:

@@ -16,6 +16,7 @@ from bnpipeline.dataset import (
     Schema,
     SchemaError,
     SplitError,
+    SplitPlan,
     UnknownState,
     VariableSpec,
     apply_thresholds,
@@ -29,6 +30,8 @@ from bnpipeline.dataset import (
     write_schema,
     write_split_plan,
 )
+from bnpipeline import dataset
+from bnpipeline.dataset import _CsvCells
 
 
 def two_var_schema():
@@ -419,6 +422,75 @@ class TestIngest:
             ingest_csv(path, two_var_schema())
 
 
+def searchsorted_encode(cells, sl, states):
+    """Reference: each cell's label found by a binary search over the sorted
+    label keys (fixed-width, padded with a unit no text holds)."""
+    units = cells.units
+    pad = np.iinfo(units.dtype).max
+    coded = [np.frombuffer(s.encode(cells._codec), dtype=units.dtype) for s in states]
+    width = max(map(len, coded))
+    row = -(-width * units.itemsize // 8) * 8 // units.itemsize
+    key_type = np.uint64 if row * units.itemsize == 8 else f"S{row * units.itemsize}"
+    labels = np.full((len(coded), row), pad, dtype=units.dtype)
+    for k, label in enumerate(coded):
+        labels[k, : label.size] = label
+    labels = labels.view(key_type).ravel()
+    order = np.argsort(labels)
+    labels = labels[order]
+    start, length = cells.start[sl], cells.length[sl]
+    keys = np.full((start.size, row), pad, dtype=units.dtype)
+    for i in range(width):
+        column = keys[:, i]
+        np.take(units, start + i, out=column, mode="clip")
+        column[length <= i] = pad
+    keys = keys.view(key_type).ravel()
+    k = np.minimum(np.searchsorted(labels, keys), len(coded) - 1)
+    codes = np.where((labels[k] == keys) & (length <= width), order[k], -1)
+    for i in np.flatnonzero(length < 0).tolist():
+        value = cells.unescaped[sl.start + i * sl.step]
+        codes[i] = states.index(value) if value in states else -1
+    return codes
+
+
+LABEL_TEXT = st.text(alphabet="ab1Z\xe9\u20ac", min_size=1, max_size=20).filter(lambda t: len(t.encode()) <= 20)
+
+
+class TestEncode:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.lists(LABEL_TEXT, min_size=2, max_size=12, unique=True),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 11), LABEL_TEXT), min_size=1, max_size=40),
+        st.sampled_from([",", "\u00a7"]),
+    )
+    def test_matches_sorted_label_search(self, states, picks, delimiter):
+        # cells: labels, their prefixes, labels with more text, and other text
+        column = []
+        for kind, k, other in picks:
+            label = states[k % len(states)]
+            column.append((label, label[:-1], label + other, other)[kind])
+        states = tuple(states)
+        text = f"A{delimiter}B\n" + "".join(f"{c}{delimiter}{c[::-1]}\n" for c in column)
+        cells = _CsvCells(text, delimiter)
+        for j in range(2):
+            sl = slice(2 + j, 2 + 2 * len(column), 2)
+            got = cells.encode(sl, states)
+            assert np.array_equal(got, searchsorted_encode(cells, sl, states))
+        assert [states[c] if c >= 0 else None for c in cells.encode(slice(2, None, 2), states)] == [
+            c if c in states else None for c in column
+        ]
+
+
+    def test_labels_whose_word_differences_cancel_under_one_multiplier(self, tmp_path):
+        # the words of these 24-byte labels differ by +2**62 and -2**62, so
+        # folding them as ((w0 * a + w1) * a + w2) * a gives one hash for
+        # every odd a; the fold's own drawn words keep them apart
+        a, b = "xxxxxxxaxxxxxxxxxxxxxxx!", "xxxxxxx!xxxxxxxxxxxxxxxa"
+        path = tmp_path / "d.csv"
+        path.write_text(f"T\n{a}\n{b}\n{b}\n")
+        data = ingest_csv(path, Schema((VariableSpec("T", (a, b), "target"),)))
+        assert data.records.ravel().tolist() == [0, 1, 1]
+
+
 class TestDiscretize:
     def test_quintiles_of_1_to_10(self):
         thresholds, labels = discretize_equal_frequency(range(1, 11), 5)
@@ -530,6 +602,27 @@ class TestSplit:
             assert fold_set <= train
             assert not fold_set & seen
             seen |= fold_set
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 101, 1_001, 10_001, 100_001, 1_000_001])
+    def test_plan_csv_matches_line_by_line_writer(self, tmp_path, monkeypatch, n):
+        # row indices of 1 to 7 digits; small plans are also written 7 rows a block
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(n).tolist()
+        n_test = (n + 2) // 3
+        size = (n - n_test) // 4
+        folds = tuple(tuple(sorted(perm[n_test + f * size : n_test + (f + 1) * size])) for f in range(3))
+        split = SplitPlan(n, n_test / n, 3, size, tuple(sorted(perm[n_test:])), tuple(sorted(perm[:n_test])), folds)
+        labels = np.full(n, "train_only", dtype=object)
+        labels[list(split.test_idx)] = "test"
+        for f, fold in enumerate(split.folds, 1):
+            labels[list(fold)] = f"fold_{f}"
+        want = "row_index,assignment\n" + "".join(f"{i},{label}\n" for i, label in enumerate(labels))
+        write_split_plan(split, tmp_path / "plan.csv")
+        assert (tmp_path / "plan.csv").read_bytes() == want.encode()
+        if n <= 10_001:
+            monkeypatch.setattr(dataset, "_SPLIT_BLOCK_ROWS", 7)
+            write_split_plan(split, tmp_path / "blocks.csv")
+            assert (tmp_path / "blocks.csv").read_bytes() == want.encode()
 
     def test_plan_csv(self, tmp_path):
         split = make_split(50, 0.2, 3, 0.1, seed=2)
