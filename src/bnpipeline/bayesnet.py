@@ -227,21 +227,19 @@ def cpt_parameter_count(network: FittedNetwork, node: str) -> int:
     return _config_count(network.schema, cpt.parent_order) * network.schema.cardinality(node)
 
 
-def family_counts(
-    data: Dataset, node: str, parents: Sequence[str], folds: np.ndarray | None = None, n_folds: int = 0
-) -> np.ndarray:
+def family_counts(data: Dataset, node: str, parents: Sequence[str], folds: np.ndarray | None = None) -> np.ndarray:
     """Count table (parent configurations x node states) for one family;
     EnumerationTooLarge if it would hold more than DEFAULT_ENUMERATION_CAP
-    cells. With folds, an index below n_folds for each row of data, one
-    table per fold from the same pass: shape (n_folds, configs, states)."""
+    cells. With folds, a fold index for each row of data, one table per
+    fold from the same pass: shape (folds, configs, states)."""
     cells = math.prod(data.schema.cardinality(n) for n in (*parents, node))
     if cells > DEFAULT_ENUMERATION_CAP:
         raise EnumerationTooLarge(
             f"family table of {node!r} over {len(parents)} parents has {cells} cells, "
             f"over cap {DEFAULT_ENUMERATION_CAP}"
         )
-    leading = () if folds is None else (n_folds,)
-    table = contingency_table(data, (*parents, node), folds, n_folds)
+    table = contingency_table(data, (*parents, node), folds)
+    leading = () if folds is None else table.shape[:1]
     return table.reshape(*leading, -1, data.schema.cardinality(node))
 
 
@@ -269,30 +267,21 @@ def fit_conjugate(
     return FittedNetwork(dag, data.schema, cpts)
 
 
-def subtract_counts(
-    network: FittedNetwork, data: Dataset, folds: np.ndarray | None = None
-) -> FittedNetwork | list[FittedNetwork]:
-    """The network as fitted without data's rows, which must be among the
-    rows it was fitted on: each CPT keeps its prior and loses those rows'
-    family counts. Counts are additive, so this equals a refit on the rest.
-
-    With folds, the fold index of each row of data (0 up to its largest
-    value), returns one network per fold, each fitted without that fold's
-    rows only; each family is counted once for all folds."""
-    n_folds = int(np.max(folds, initial=-1)) + 1 if folds is not None else 1
-    counts = {}
+def subtract_counts(network: FittedNetwork, data: Dataset, folds: np.ndarray) -> dict[str, np.ndarray]:
+    """The count tables of the network as fitted without each fold's rows of
+    data, which must be among the rows it was fitted on; folds holds the
+    fold index of each row of data, 0 up to its largest value. Each node
+    gets a (folds, configs, states) stack whose fold f is its counts less
+    fold f's family counts, which equals a refit without those rows because
+    counts are additive; each family is counted once for all folds. The
+    priors stay the network's, and posterior_marginal scores records under
+    the stacks."""
+    stacks = {}
     for node, cpt in network.cpts.items():
-        table = cpt.counts - family_counts(data, node, cpt.parent_order, folds, n_folds)
-        if np.any(table < 0):
+        stacks[node] = cpt.counts - family_counts(data, node, cpt.parent_order, folds)
+        if np.any(stacks[node] < 0):
             raise ValueError(f"rows to subtract were not all fitted ({node!r} counts below 0)")
-        counts[node] = table if folds is not None else table[None]
-    fitted = [
-        FittedNetwork(network.dag, network.schema, {
-            node: Cpt(node, cpt.parent_order, cpt.alpha, counts[node][f]) for node, cpt in network.cpts.items()
-        })
-        for f in range(n_folds)
-    ]
-    return fitted if folds is not None else fitted[0]
+    return stacks
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +484,11 @@ def _multiply_into(acc: np.ndarray | None, factor: np.ndarray) -> np.ndarray:
 
 
 def posterior_marginal(
-    networks: FittedNetwork | Sequence[FittedNetwork],
+    network: FittedNetwork,
     records: np.ndarray,
     query: Sequence[str],
     max_states: int = DEFAULT_ENUMERATION_CAP,
+    counts: Mapping[str, np.ndarray] | None = None,
     sets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Posterior-predictive distribution of the query variables given each
@@ -506,10 +496,12 @@ def posterior_marginal(
     unobserved) whose query columns are ignored: shape (records, *query
     cardinalities), each record's entries summing to 1.
 
-    networks is one fitted network, or several fitted over one DAG and
-    schema (such as one per cross-validation fold) with sets, the index of
-    the network that scores each record. Their posterior means are stacked,
-    so that one eliminate call scores every record under its own network.
+    counts, given with sets, replaces the network's counts by a stack of
+    count tables per node, (sets, configs, states) as subtract_counts
+    returns them for the folds of cross-validation, and sets holds the
+    index of the stack entry that scores each record. The posterior means
+    of every entry are stacked, so that one eliminate call scores every
+    record under its own counts.
 
     Prediction needs no parameter draws. With Dirichlet priors and complete
     training data the CPT rows are independent Dirichlets, and every term of
@@ -520,29 +512,33 @@ def posterior_marginal(
     posterior mean is positive, so a record whose mass comes out 0 lost it
     to float underflow in the product of many small factors.
     """
-    networks = [networks] if isinstance(networks, FittedNetwork) else list(networks)
-    network = networks[0]
     schema = network.schema
-    if any(net.dag != network.dag or net.schema != schema for net in networks):
-        raise ValueError("networks must share one DAG and one schema")
     for qv in query:
         if qv not in network.dag.nodes:
             raise GraphError(f"unknown query variable {qv!r}")
     records = np.asarray(records, dtype=np.int64)
     if records.ndim != 2 or records.shape[1] != len(schema.names):
         raise ValueError(f"records must be a matrix with {len(schema.names)} columns")
+    if (counts is None) != (sets is None):
+        raise ValueError("counts and sets go together")
+    if counts is None:
+        counts = {node: cpt.counts[None] for node, cpt in network.cpts.items()}
+    n_sets = len(next(iter(counts.values())))
+    if any(counts[node].shape != (n_sets, *cpt.counts.shape) for node, cpt in network.cpts.items()):
+        raise ValueError(f"counts must hold {n_sets} tables of each CPT's shape")
     if sets is not None:
         sets = np.asarray(sets, dtype=np.int64)
-        if sets.shape != (len(records),) or np.any((sets < 0) | (sets >= len(networks))):
-            raise ValueError(f"sets must hold one network index below {len(networks)} per record")
-    elif len(networks) > 1:
-        raise ValueError("several networks need sets, the network index of each record")
+        if sets.shape != (len(records),) or np.any((sets < 0) | (sets >= n_sets)):
+            raise ValueError(f"sets must hold one index below {n_sets} per record")
     bad = (records < -1) | (records >= [schema.cardinality(n) for n in schema.names])
     bad[:, [schema.index(q) for q in query]] = False
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ValueError(f"unknown evidence state {records[row, col]} for {schema.names[col]!r}")
-    mean = {node: np.stack([net.cpts[node].posterior_mean for net in networks]) for node in network.cpts}
+    mean = {}
+    for node, cpt in network.cpts.items():
+        post = cpt.alpha + counts[node]
+        mean[node] = post / post.sum(axis=-1, keepdims=True)
     mass = eliminate(network, mean, records, query, max_states, sets)
     total = mass.sum(axis=tuple(range(1, mass.ndim)), keepdims=True)
     if np.any(total <= 0):

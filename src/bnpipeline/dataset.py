@@ -196,20 +196,20 @@ class SplitPlan:
     folds: tuple[tuple[int, ...], ...]
 
 
-def contingency_table(
-    data: Dataset, names: Sequence[str], groups: np.ndarray | None = None, n_groups: int = 0
-) -> np.ndarray:
+def contingency_table(data: Dataset, names: Sequence[str], groups: np.ndarray | None = None) -> np.ndarray:
     """Joint count table over the named variables, axes sized from the schema.
 
     Each record's cell is its mixed-radix index over the named columns, the
     last varying fastest, accumulated one contiguous column at a time. With
-    groups, an index below n_groups for each record, the tables of the
-    groups are counted in the same pass, stacked along a leading axis."""
+    groups, a non-negative index for each record, the tables of groups 0 up
+    to the largest index are counted in the same pass, stacked along a
+    leading axis."""
     shape = tuple(data.schema.cardinality(n) for n in names)
     columns = [data.records[:, data.schema.index(n)] for n in names]
     if groups is not None:
-        shape = (n_groups, *shape)
-        columns.insert(0, np.asarray(groups, dtype=np.int64))
+        groups = np.asarray(groups, dtype=np.int64)
+        shape = (int(np.max(groups, initial=-1)) + 1, *shape)
+        columns.insert(0, groups)
     idx = columns[0].copy()
     for r, column in zip(shape[1:], columns[1:]):
         idx *= r
@@ -300,7 +300,7 @@ def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = No
     Columns not named in the schema are skipped with a warning. Any cell
     that is not a declared state of its variable is an error; there is no
     missing-value handling. The text is split into cells by one vectorized
-    pass, and each column is encoded by a hashed-label lookup over at most
+    pass, and each column is encoded by a sorted-label search over at most
     the longest label's length of each cell. The error reported is at the
     first offending row in the file: its quoting if that is broken, else its
     width if that is wrong, else its first unknown state in schema order.
@@ -457,21 +457,21 @@ class _CsvCells:
 
         Each cell is gathered up to the longest label's length and padded to
         whole 64-bit words with a unit no text holds (0xFF is no UTF-8 byte,
-        0xFFFFFFFF no code point), and so is each label; so neither a NUL nor
-        a prefix aliases a label, and a longer cell costs no more. A cell's
-        words fold into one 64-bit hash whose top bits pick its slot in a
-        table where every label has a slot of its own (_label_slots); the
-        cell is that slot's label if all its words equal the label's."""
+        0xFFFFFFFF no code point), and so is each label; a search over the
+        sorted labels finds it. So neither a NUL nor a prefix aliases a label,
+        and a longer cell costs no more."""
         units = self.units
         pad = np.iinfo(units.dtype).max
         coded = [np.frombuffer(s.encode(self._codec), dtype=units.dtype) for s in states]
         width = max(map(len, coded))
         row = -(-width * units.itemsize // 8) * 8 // units.itemsize  # units per key
+        key_type = np.uint64 if row * units.itemsize == 8 else f"S{row * units.itemsize}"
         labels = np.full((len(coded), row), pad, dtype=units.dtype)
         for k, label in enumerate(coded):
             labels[k, : label.size] = label
-        labels = labels.view(np.uint64)
-        fold, multiplier, shift, table = _label_slots(labels)
+        labels = labels.view(key_type).ravel()
+        order = np.argsort(labels)
+        labels = labels[order]
 
         start = self.start[cells]
         length = self.length[cells]
@@ -480,59 +480,13 @@ class _CsvCells:
             column = keys[:, i]
             np.take(units, start + i, out=column, mode="clip")
             column[length <= i] = pad
-        keys = keys.view(np.uint64)
-        k = table[_slot(keys, fold, multiplier, shift)]
-        codes = np.where((labels[k] == keys).all(axis=1) & (length <= width), k, -1)
+        keys = keys.view(key_type).ravel()
+        k = np.minimum(np.searchsorted(labels, keys), len(coded) - 1)
+        codes = np.where((labels[k] == keys) & (length <= width), order[k], -1)
         for i in np.flatnonzero(length < 0).tolist():  # cells with doubled quotes
             value = self.unescaped[cells.start + i * cells.step]
             codes[i] = states.index(value) if value in states else -1
         return codes
-
-
-def _slot(keys: np.ndarray, fold: np.ndarray, multiplier: np.uint64, shift: np.uint64) -> np.ndarray:
-    """Multiply-shift slot of each row of 64-bit words: the row folded into
-    one hash, its first word plus each later word w times fold[w - 1]
-    (mod 2**64), then the top 64 - shift bits of the hash times the odd
-    multiplier."""
-    hashed = keys[:, 0].copy()
-    for w in range(1, keys.shape[1]):
-        hashed += keys[:, w] * fold[w - 1]
-    hashed *= multiplier
-    return hashed >> shift
-
-
-def _splitmix64():
-    """The outputs of splitmix64 from state 0: a fixed sequence of 64-bit
-    words that needs no numpy.random import."""
-    state, mask = 0, (1 << 64) - 1
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & mask
-        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
-        yield z ^ z >> 31
-
-
-def _label_slots(labels: np.ndarray) -> tuple[np.ndarray, np.uint64, np.uint64, np.ndarray]:
-    """(fold, multiplier, shift, table) that give each row of labels a slot
-    of its own; table maps a slot to its label, and an empty slot to label
-    0, which the word check then rejects. Each try draws new fold words and
-    a new odd multiplier from _splitmix64. Two labels that differ in a later
-    word fold to one hash under at most half of the fold words, and two
-    distinct hashes share one of at least 2 * labels**2 slots under at most
-    a fraction 2 / slots of the multipliers (Dietzfelbinger et al. 1997), so
-    a try fails with probability below about 1/2 and the first few nearly
-    always include one that works."""
-    bits = max(1, (2 * len(labels) ** 2 - 1).bit_length())
-    shift = np.uint64(64 - bits)
-    draws = _splitmix64()
-    while True:
-        fold = np.array([next(draws) for _ in range(labels.shape[1] - 1)], dtype=np.uint64)
-        multiplier = np.uint64(next(draws) | 1)
-        slots = _slot(labels, fold, multiplier, shift)
-        if len(set(slots.tolist())) == len(labels):
-            table = np.zeros(1 << bits, dtype=np.int32)
-            table[slots] = np.arange(len(labels))
-            return fold, multiplier, shift, table
 
 
 def write_csv(data: Dataset, path: str | Path, options: CsvOptions | None = None) -> None:

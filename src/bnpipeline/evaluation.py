@@ -116,7 +116,7 @@ def cross_validate(
     train-minus-fold because counts are additive. Per candidate, one
     subtract_counts call counts the held-out rows of every fold in one pass
     per family, with a leading fold axis, and one posterior_marginal call
-    scores the rows of every fold, each under its own fold's network. Each
+    scores the rows of every fold, each under its own fold's counts. Each
     fold's metrics come from its own rows, and fold_metrics lists the
     (fold, candidate) pairs fold by fold. The winner is the model with the
     smallest average RMSE over folds (ties go to the lexicographically
@@ -140,7 +140,8 @@ def cross_validate(
     truth = values[held_out.column(target)]
     predicted = []  # per candidate: the predicted value of every held-out row
     for network in fitted:
-        probs = posterior_marginal(subtract_counts(network, held_out, folds), held_out.records, (target,), sets=folds)
+        counts = subtract_counts(network, held_out, folds)
+        probs = posterior_marginal(network, held_out.records, (target,), counts=counts, sets=folds)
         predicted.append(values[probs.argmax(axis=1)])
 
     results = []

@@ -151,18 +151,18 @@ class TestSubtractCounts:
              for n in net.schema.names]
         ))
         whole = fit_conjugate(net.dag, data, alpha0=0.5)
-        rest = subtract_counts(whole, data.subset(range(20)))
+        rest = subtract_counts(whole, data.subset(range(20)), np.zeros(20, dtype=np.int64))
         refit = fit_conjugate(net.dag, data.subset(range(20, 60)), alpha0=0.5)
         for node, cpt in refit.cpts.items():
-            assert np.array_equal(rest.cpts[node].counts, cpt.counts)
-            assert np.array_equal(rest.cpts[node].posterior_mean, cpt.posterior_mean)
+            assert rest[node].shape == (1, *cpt.counts.shape)
+            assert np.array_equal(rest[node][0], cpt.counts)
 
     def test_rows_not_fitted_rejected(self):
         net = random_network(np.random.default_rng(8))
         empty = fit_conjugate(net.dag, Dataset(net.schema, np.empty((0, len(net.schema.names)))))
         rows = Dataset(net.schema, np.zeros((1, len(net.schema.names)), dtype=np.int64))
         with pytest.raises(ValueError, match="below 0"):
-            subtract_counts(empty, rows)
+            subtract_counts(empty, rows, np.zeros(1, dtype=np.int64))
 
     def test_fold_axis_equals_one_subtraction_per_fold(self):
         net = random_network(np.random.default_rng(10))
@@ -174,13 +174,13 @@ class TestSubtractCounts:
         held_out = data.subset(range(30))
         folds = rng.integers(0, 4, 30)
         folds[-1] = 3  # the largest index sets the number of folds
-        nets = subtract_counts(whole, held_out, folds)
-        assert len(nets) == 4
-        for f, got in enumerate(nets):
-            want = subtract_counts(whole, held_out.subset(np.flatnonzero(folds == f)))
-            for node, cpt in want.cpts.items():
-                assert np.array_equal(got.cpts[node].counts, cpt.counts)
-                assert np.array_equal(got.cpts[node].alpha, cpt.alpha)
+        stacks = subtract_counts(whole, held_out, folds)
+        for f in range(4):
+            rows = np.flatnonzero(folds == f)
+            want = subtract_counts(whole, held_out.subset(rows), np.zeros(len(rows), dtype=np.int64))
+            for node, stack in stacks.items():
+                assert len(stack) == 4
+                assert np.array_equal(stack[f], want[node][0])
 
     def test_fold_rows_not_fitted_rejected(self):
         net = random_network(np.random.default_rng(8))
@@ -595,18 +595,18 @@ class TestEliminateSets:
         ))
         whole = fit_conjugate(net.dag, data)
         folds = np.repeat([0, 1, 2], 20)
-        nets = subtract_counts(whole, data, folds)
+        counts = subtract_counts(whole, data, folds)
         query = (net.schema.target,)
-        got = posterior_marginal(nets, data.records, query, sets=folds)
-        for f, fold_net in enumerate(nets):
-            assert np.array_equal(got[folds == f], posterior_marginal(fold_net, data.records[folds == f], query))
+        got = posterior_marginal(whole, data.records, query, counts=counts, sets=folds)
+        for f in range(3):
+            refit = fit_conjugate(net.dag, data.subset(np.flatnonzero(folds != f)))
+            assert np.array_equal(got[folds == f], posterior_marginal(refit, data.records[folds == f], query))
+        with pytest.raises(ValueError, match="together"):
+            posterior_marginal(whole, data.records, query, counts=counts)
         with pytest.raises(ValueError, match="sets"):
-            posterior_marginal(nets, data.records, query)
-        with pytest.raises(ValueError, match="sets"):
-            posterior_marginal(nets, data.records, query, sets=folds + 1)
-        other = fit_conjugate(Dag(net.dag.nodes), data)
-        with pytest.raises(ValueError, match="one DAG"):
-            posterior_marginal([nets[0], other], data.records, query, sets=folds % 2)
+            posterior_marginal(whole, data.records, query, counts=counts, sets=folds + 1)
+        with pytest.raises(ValueError, match="tables"):
+            posterior_marginal(whole, data.records, query, counts={n: c[:, :1] for n, c in counts.items()}, sets=folds)
 
 
 class TestSensitivityRanking:

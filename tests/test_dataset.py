@@ -422,36 +422,6 @@ class TestIngest:
             ingest_csv(path, two_var_schema())
 
 
-def searchsorted_encode(cells, sl, states):
-    """Reference: each cell's label found by a binary search over the sorted
-    label keys (fixed-width, padded with a unit no text holds)."""
-    units = cells.units
-    pad = np.iinfo(units.dtype).max
-    coded = [np.frombuffer(s.encode(cells._codec), dtype=units.dtype) for s in states]
-    width = max(map(len, coded))
-    row = -(-width * units.itemsize // 8) * 8 // units.itemsize
-    key_type = np.uint64 if row * units.itemsize == 8 else f"S{row * units.itemsize}"
-    labels = np.full((len(coded), row), pad, dtype=units.dtype)
-    for k, label in enumerate(coded):
-        labels[k, : label.size] = label
-    labels = labels.view(key_type).ravel()
-    order = np.argsort(labels)
-    labels = labels[order]
-    start, length = cells.start[sl], cells.length[sl]
-    keys = np.full((start.size, row), pad, dtype=units.dtype)
-    for i in range(width):
-        column = keys[:, i]
-        np.take(units, start + i, out=column, mode="clip")
-        column[length <= i] = pad
-    keys = keys.view(key_type).ravel()
-    k = np.minimum(np.searchsorted(labels, keys), len(coded) - 1)
-    codes = np.where((labels[k] == keys) & (length <= width), order[k], -1)
-    for i in np.flatnonzero(length < 0).tolist():
-        value = cells.unescaped[sl.start + i * sl.step]
-        codes[i] = states.index(value) if value in states else -1
-    return codes
-
-
 LABEL_TEXT = st.text(alphabet="ab1Z\xe9\u20ac", min_size=1, max_size=20).filter(lambda t: len(t.encode()) <= 20)
 
 
@@ -462,7 +432,7 @@ class TestEncode:
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 11), LABEL_TEXT), min_size=1, max_size=40),
         st.sampled_from([",", "\u00a7"]),
     )
-    def test_matches_sorted_label_search(self, states, picks, delimiter):
+    def test_matches_label_by_label_comparison(self, states, picks, delimiter):
         # cells: labels, their prefixes, labels with more text, and other text
         column = []
         for kind, k, other in picks:
@@ -471,24 +441,25 @@ class TestEncode:
         states = tuple(states)
         text = f"A{delimiter}B\n" + "".join(f"{c}{delimiter}{c[::-1]}\n" for c in column)
         cells = _CsvCells(text, delimiter)
-        for j in range(2):
-            sl = slice(2 + j, 2 + 2 * len(column), 2)
-            got = cells.encode(sl, states)
-            assert np.array_equal(got, searchsorted_encode(cells, sl, states))
-        assert [states[c] if c >= 0 else None for c in cells.encode(slice(2, None, 2), states)] == [
-            c if c in states else None for c in column
-        ]
+        for j, col in enumerate((column, [c[::-1] for c in column])):
+            got = cells.encode(slice(2 + j, None, 2), states)
+            assert got.tolist() == [states.index(c) if c in states else -1 for c in col]
 
-
-    def test_labels_whose_word_differences_cancel_under_one_multiplier(self, tmp_path):
-        # the words of these 24-byte labels differ by +2**62 and -2**62, so
-        # folding them as ((w0 * a + w1) * a + w2) * a gives one hash for
-        # every odd a; the fold's own drawn words keep them apart
-        a, b = "xxxxxxxaxxxxxxxxxxxxxxx!", "xxxxxxx!xxxxxxxxxxxxxxxa"
+    def test_labels_that_differ_only_in_the_last_byte_of_each_word(self, tmp_path):
+        states = tuple(f"xxxxxxx{a}xxxxxxx{b}" for a in "!Aa" for b in "!Aa")
+        picks = [8, 0, 4, 2, 6, 1, 3, 5, 7, 0]
         path = tmp_path / "d.csv"
-        path.write_text(f"T\n{a}\n{b}\n{b}\n")
-        data = ingest_csv(path, Schema((VariableSpec("T", (a, b), "target"),)))
-        assert data.records.ravel().tolist() == [0, 1, 1]
+        path.write_text("T\n" + "".join(f"{states[k]}\n" for k in picks))
+        data = ingest_csv(path, Schema((VariableSpec("T", states, "target"),)))
+        assert data.records.ravel().tolist() == picks
+
+    def test_ten_thousand_states(self, tmp_path):
+        states = tuple(f"s{k}" for k in range(10_000))
+        picks = np.random.default_rng(3).integers(0, len(states), 3_000).tolist()
+        path = tmp_path / "d.csv"
+        path.write_text("T\n" + "".join(f"{states[k]}\n" for k in picks))
+        data = ingest_csv(path, Schema((VariableSpec("T", states, "target"),)))
+        assert data.records.ravel().tolist() == picks
 
 
 class TestDiscretize:

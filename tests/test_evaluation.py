@@ -158,9 +158,9 @@ class TestCrossValidate:
             fold = split.folds[fold_no - 1]
             train_rows = sorted(set(split.train_idx) - set(fold))
             net = fit_conjugate(dags[label], data.subset(train_rows))
-            subtracted = subtract_counts(fit_conjugate(dags[label], train_data), data.subset(fold))
+            subtracted = subtract_counts(fit_conjugate(dags[label], train_data), data.subset(fold), np.zeros(len(fold)))
             for node, cpt in net.cpts.items():
-                assert np.array_equal(subtracted.cpts[node].counts, cpt.counts)
+                assert np.array_equal(subtracted[node][0], cpt.counts)
             records, truths = evidence_records(data, list(fold), "EVAL")
             preds = posterior_predict(net, records, target="EVAL")
             manual = metrics(
