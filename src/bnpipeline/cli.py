@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import bayesnet, evaluation, infotheory, mcmc, modelselect, structlearn
 from .config import ConfigError, PipelineConfig, load_config, write_effective_config
-from .dataset import DataError, Dataset, content_lines, ingest_csv, make_split, read_schema, write_split_plan
+from .dataset import DataError, Dataset, content_lines, load_dataset, make_split, read_schema, write_split_plan
 
 
 class DiagnosticFailure(Exception):
@@ -42,12 +42,16 @@ def _out(cfg: PipelineConfig) -> Path:
 
 
 def _load_data(cfg: PipelineConfig) -> Dataset:
+    """The configured dataset under its schema, read through the records
+    cache in the output directory (load_dataset), which this creates: the
+    first phase of a run parses the CSV and the later ones load its
+    records."""
     schema = read_schema(cfg.schema_path)
     if cfg.target is not None and schema.target != cfg.target:
         raise ConfigError(
             f"config target {cfg.target!r} does not match schema target {schema.target!r}"
         )
-    data = ingest_csv(cfg.dataset_path, schema)
+    data = load_dataset(cfg.dataset_path, schema, _out(cfg))
     if data.n_records == 0:
         raise DataError(f"{cfg.dataset_path}: no records after the header row")
     return data
@@ -167,9 +171,10 @@ def cmd_learn(cfg: PipelineConfig) -> None:
     structures = _make_dir(out / "structures")
     candidates = _learn_candidates(cfg, data)
     target = data.schema.target
+    counted: dict = {}  # family tables, shared by the candidates
     for cand in candidates:
         bayesnet.write_structure(cand.dag, structures / f"{cand.label}.structure")
-        network = bayesnet.fit_conjugate(cand.dag, data, cfg.alpha0)
+        network = bayesnet.fit_conjugate(cand.dag, data, cfg.alpha0, counted)
         report = bayesnet.sensitivity_report(network, target)
         with open(out / f"sensitivity_{cand.label}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

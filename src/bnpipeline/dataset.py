@@ -9,7 +9,10 @@ from a sample keep their slot in every downstream count table.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
+import os
+import tokenize
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,22 +181,23 @@ class CsvOptions:
     encoding: str = "utf-8"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitPlan:
     """Deterministic train/test partition plus validation folds inside the training set.
 
     Folds are sized as a fraction of the full dataset and drawn without
     replacement from the training indices, so fold_count * fold_size must
-    fit inside the training set.
+    fit inside the training set. Each index set is a sorted, read-only int64
+    array; compare plans field by field with np.array_equal.
     """
 
     seed: int
     test_fraction: float
     fold_count: int
     fold_size: int
-    train_idx: tuple[int, ...]
-    test_idx: tuple[int, ...]
-    folds: tuple[tuple[int, ...], ...]
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    folds: tuple[np.ndarray, ...]
 
 
 def contingency_table(data: Dataset, names: Sequence[str], groups: np.ndarray | None = None) -> np.ndarray:
@@ -346,6 +350,78 @@ def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = No
     if bad_row < widths.size:
         raise DataError(f"{path}: row {bad_row} has {widths[bad_row]} cells, expected {len(header)}")
     return Dataset(schema, records)
+
+
+# ---------------------------------------------------------------------------
+# encoded-records cache
+# ---------------------------------------------------------------------------
+
+# names the layout of a cache file; a new layout takes a new tag, so that
+# files of the old one are never read as it
+_RECORDS_FORMAT = b"bnpipeline records: state indices, npy"
+
+
+def _records_key(path: str | Path, schema: Schema, options: CsvOptions | None = None) -> str:
+    """Hex SHA-256 over what decides the records ingest_csv makes of a CSV:
+    the format tag, the file's raw bytes, the schema's variables (names,
+    states in order, roles), the delimiter and the encoding, each part
+    prefixed by its length so that no two inputs hash the same parts."""
+    opts = options or CsvOptions()
+    variables = repr([(v.name, v.states, v.role) for v in schema.variables])
+    digest = hashlib.sha256()
+    for part in (_RECORDS_FORMAT, Path(path).read_bytes(), variables.encode(),
+                 opts.delimiter.encode(), opts.encoding.encode()):
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def load_dataset(
+    path: str | Path, schema: Schema, out_dir: str | Path, options: CsvOptions | None = None
+) -> Dataset:
+    """ingest_csv's Dataset of a CSV, parsed once per input: its records
+    are kept in out_dir as records-<_records_key>.npy, in the smallest
+    unsigned dtype that holds the schema's largest state index.
+
+    A file of that name is mapped read-only as an npy array, which holds no
+    pickles and allocates nothing for a header that claims more rows than
+    the file has, and Dataset checks its shape and range. A file that cannot
+    be read, is not exactly header plus array, or has the wrong dtype,
+    layout, shape or a state out of range counts as absent. When it is
+    absent, ingest_csv parses the CSV, with all its errors and its warning
+    about columns not in the schema, which so shows only on a parse. The
+    records are then written under a temporary name, flushed to disk and
+    renamed into place, and every other records-*.npy in out_dir is removed.
+    A file that cannot be written is skipped: it only saves a later call
+    the parse. Editing the CSV or the schema changes the name, and deleting
+    the file costs one parse.
+    """
+    out_dir = Path(out_dir)
+    cached = out_dir / f"records-{_records_key(path, schema, options)}.npy"
+    dtype = np.min_scalar_type(max(v.cardinality for v in schema.variables) - 1)
+    try:
+        records = np.lib.format.open_memmap(cached, mode="r")
+        whole = records.offset + records.nbytes == os.path.getsize(cached)
+        if whole and records.dtype == dtype and records.flags.f_contiguous:
+            return Dataset(schema, records)
+    except (OSError, ValueError, EOFError, tokenize.TokenError, DataError):
+        # absent, or not a file this function wrote (numpy's npy header
+        # parser raises TokenError on some damaged headers): parse again
+        pass
+    data = ingest_csv(path, schema, options)
+    temporary = out_dir / f".{cached.name}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            np.save(fh, data.records.astype(dtype, order="F"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temporary, cached)
+        for stale in out_dir.glob("records-*.npy"):
+            if stale != cached:
+                stale.unlink()
+    except OSError:
+        temporary.unlink(missing_ok=True)
+    return data
 
 
 _QUOTE, _LF, _CR = ord('"'), ord("\n"), ord("\r")
@@ -592,16 +668,16 @@ def make_split(
             f"training set of {train_idx.size}"
         )
     pool = rng.permutation(train_idx)
-    folds = tuple(
-        tuple(np.sort(pool[f * fold_size : (f + 1) * fold_size]).tolist()) for f in range(fold_count)
-    )
+    folds = tuple(np.sort(pool[f * fold_size : (f + 1) * fold_size]) for f in range(fold_count))
+    for indices in (train_idx, test_idx, *folds):
+        indices.setflags(write=False)
     return SplitPlan(
         seed=seed,
         test_fraction=test_fraction,
         fold_count=fold_count,
         fold_size=fold_size,
-        train_idx=tuple(train_idx.tolist()),
-        test_idx=tuple(test_idx.tolist()),
+        train_idx=train_idx,
+        test_idx=test_idx,
         folds=folds,
     )
 
@@ -619,12 +695,12 @@ def write_split_plan(split: SplitPlan, path: str | Path) -> None:
     is a fixed-width byte matrix row holding its right-aligned digits, then
     a comma, its label and the line end, padded with 0 bytes, and the block
     is written without its padding."""
-    n = len(split.train_idx) + len(split.test_idx)
+    n = split.train_idx.size + split.test_idx.size
     names = ["train_only", "test", *(f"fold_{f}" for f in range(1, len(split.folds) + 1))]
     codes = np.zeros(n, dtype=np.int64)
-    codes[list(split.test_idx)] = 1
+    codes[split.test_idx] = 1
     for f, fold in enumerate(split.folds, 2):
-        codes[list(fold)] = f
+        codes[fold] = f
     tails = np.zeros((len(names), 2 + max(map(len, names))), dtype=np.uint8)  # ",<label>\n"
     for k, name in enumerate(names):
         tail = f",{name}\n".encode("ascii")

@@ -133,8 +133,8 @@ def cross_validate(
     counted: dict = {}  # family tables on the training rows, shared by the candidates
     fitted = [fit_conjugate(cand.dag, train_data, alpha0, counted) for cand in candidates]
 
-    sizes = [len(fold) for fold in split.folds]
-    held_out = data.subset([i for fold in split.folds for i in fold])
+    sizes = [fold.size for fold in split.folds]
+    held_out = data.subset(np.concatenate(split.folds))
     folds = np.repeat(np.arange(len(sizes)), sizes)
     bounds = np.cumsum([0, *sizes]).tolist()
     truth = values[held_out.column(target)]
@@ -169,8 +169,8 @@ def final_evaluation(
     target = data.schema.target
     spec = data.schema.spec(target)
     values = np.asarray(numeric_state_values(spec))
-    network = fit_conjugate(best.dag, data.subset(list(split.train_idx)), alpha0)
-    records = data.records[list(split.test_idx)]
+    network = fit_conjugate(best.dag, data.subset(split.train_idx), alpha0)
+    records = data.records[split.test_idx]
     truths = records[:, data.schema.index(target)]
     probs = posterior_marginal(network, records, (target,))
     summary = metrics(values[probs.argmax(axis=1)], values[truths], literal_rmse=literal_rmse)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bnpipeline
-from bnpipeline import bayesnet
+from bnpipeline import bayesnet, dataset
 from bnpipeline.bayesnet import Dag, read_structure, write_structure
 from bnpipeline.cli import _md_table, main
 from bnpipeline.config import ConfigError, dump_config, load_config, parse_config_text
@@ -245,6 +245,41 @@ class TestPipelinePhases:
         for p in (workspace / "out").iterdir():
             if p.is_file():
                 assert p.read_bytes() == first[p.name]
+
+    def test_records_cache_changes_no_output(self, workspace, monkeypatch):
+        # every phase once with the cache deleted before it, then every phase
+        # with the cache kept: one parse instead of five, and the same bytes
+        ingest = dataset.ingest_csv
+        parses = []
+        monkeypatch.setattr(dataset, "ingest_csv", lambda *args: parses.append(args) or ingest(*args))
+        out = workspace / "out"
+        runs = []
+        for keep in (False, True):
+            shutil.rmtree(out, ignore_errors=True)
+            parses.clear()
+            for cmd in ("select", "learn", "compare", "cv", "fit-predict", "report"):
+                if not keep:
+                    for cached in out.glob("records-*.npy"):
+                        cached.unlink()
+                assert run(cmd, "--config", "pipeline.ini") == 0
+            files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            runs.append((files, len(parses)))
+        (deleted, parsed_each_phase), (kept, parsed_once) = runs
+        assert (parsed_each_phase, parsed_once) == (5, 1)
+        cache = [name for name in kept if name.startswith("records-")]
+        assert len(cache) == 1 and cache[0] not in deleted  # report deleted it last
+        del kept[cache[0]]
+        assert deleted.keys() == kept.keys()
+        for name in deleted:
+            assert deleted[name] == kept[name], name
+
+    def test_damaged_records_cache_is_parsed_again(self, workspace):
+        assert run("select", "--config", "pipeline.ini") == 0
+        (cached,) = (workspace / "out").glob("records-*.npy")
+        good = cached.read_bytes()
+        cached.write_bytes(good[:-7])
+        assert run("learn", "--config", "pipeline.ini") == 0
+        assert cached.read_bytes() == good
 
     def test_effective_config_reproduces_run(self, workspace):
         for cmd in ("select", "learn", "compare", "cv"):

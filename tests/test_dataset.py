@@ -1,7 +1,10 @@
 import csv
+import io
 import math
 import re
+import shutil
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from bnpipeline.dataset import (
     contingency_table,
     discretize_equal_frequency,
     ingest_csv,
+    load_dataset,
     make_split,
     numeric_state_values,
     read_schema,
@@ -165,10 +169,17 @@ def csv_cases(draw):
     return (
         header,
         rows,
-        draw(st.sampled_from((",", ";"))),
+        draw(st.sampled_from((",", ";", "\u00a6"))),
         draw(st.sampled_from(("\n", "\r\n", "\r"))),
         draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL))),
     )
+
+
+def write_case(path, case):
+    header, rows, delimiter, terminator, quoting = case
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator=terminator, quoting=quoting)
+        writer.writerows([header, *rows])
 
 
 def reference_outcome(path, delimiter):
@@ -341,11 +352,9 @@ class TestIngest:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(case=csv_cases())
     def test_matches_row_by_row_reference(self, parity_dir, case):
-        header, rows, delimiter, terminator, quoting = case
         path = parity_dir / "d.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, delimiter=delimiter, lineterminator=terminator, quoting=quoting)
-            writer.writerows([header, *rows])
+        write_case(path, case)
+        delimiter = case[2]
         assert ingest_outcome(path, delimiter) == reference_outcome(path, delimiter)
 
 
@@ -420,6 +429,144 @@ class TestIngest:
         path.write_bytes(b"A,B\nx,y\n\r\nx,y\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: row 2 has 0 cells, expected 2")):
             ingest_csv(path, two_var_schema())
+
+
+def cache_files(out):
+    return sorted(p.name for p in out.glob("records-*.npy"))
+
+
+def one_column(path, labels=("x", "y")):
+    """A one-variable CSV, which parses alike under any delimiter and any
+    ASCII-compatible encoding, and its schema."""
+    path.write_text("T\nx\ny\nx\n", encoding="utf-8")
+    return Schema((VariableSpec("T", labels, "target"),))
+
+
+class TestRecordsCache:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(case=csv_cases())
+    def test_hit_equals_parse(self, parity_dir, case):
+        path, out = parity_dir / "cached.csv", parity_dir / "cache"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        write_case(path, case)
+        options = CsvOptions(delimiter=case[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                parsed = ingest_csv(path, PARITY_SCHEMA, options)
+            except DataError as exc:
+                # a parse error stores nothing, and is raised again on the next call
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    load_dataset(path, PARITY_SCHEMA, out, options)
+                assert cache_files(out) == []
+                return
+            missed = load_dataset(path, PARITY_SCHEMA, out, options)
+        with mock.patch.object(dataset, "ingest_csv", side_effect=AssertionError("parsed on a hit")):
+            hit = load_dataset(path, PARITY_SCHEMA, out, options)
+        for data in (missed, hit):
+            assert data.records.dtype == parsed.records.dtype and data.records.flags.f_contiguous
+            assert data.records.tobytes(order="F") == parsed.records.tobytes(order="F")
+        assert len(cache_files(out)) == 1
+
+    def test_key_changes_with_each_input_and_stale_files_go(self, tmp_path):
+        path, out = tmp_path / "d.csv", tmp_path / "out"
+        out.mkdir()
+        (out / "records-0123abcd.npy").write_bytes(b"left by an earlier run")
+        (out / "records.txt").write_text("not a cache file", encoding="utf-8")
+        schema = one_column(path)
+        seen = []
+
+        def load(schema=schema, **options):
+            data = load_dataset(path, schema, out, CsvOptions(**options))
+            assert len(cache_files(out)) == 1 and cache_files(out)[0] not in seen
+            seen.extend(cache_files(out))
+            return data
+
+        assert load().records.ravel().tolist() == [0, 1, 0]
+        path.write_text("T\nx\nx\nx\n", encoding="utf-8")  # one byte
+        assert load().records.ravel().tolist() == [0, 0, 0]
+        path.write_text("T\nx\ny\nx\n", encoding="utf-8")
+        assert load(one_column(path, ("y", "x"))).records.ravel().tolist() == [1, 0, 1]
+        assert load(delimiter=";").records.ravel().tolist() == [0, 1, 0]
+        assert load(encoding="latin-1").records.ravel().tolist() == [0, 1, 0]
+        assert (out / "records.txt").is_file()
+
+    def test_largest_state_index_sets_the_stored_dtype(self, tmp_path):
+        for states, dtype in ((256, np.uint8), (257, np.uint16)):
+            labels = tuple(f"s{k}" for k in range(states))
+            path, out = tmp_path / f"{states}.csv", tmp_path / f"out{states}"
+            out.mkdir()
+            path.write_text(f"T\ns0\ns{states - 1}\n", encoding="utf-8")
+            data = load_dataset(path, Schema((VariableSpec("T", labels, "target"),)), out)
+            stored = np.load(out / cache_files(out)[0], allow_pickle=False)
+            assert stored.dtype == dtype and np.array_equal(stored, data.records)
+
+    @pytest.mark.parametrize("damage", [
+        "empty", "truncated header", "truncated data", "extra bytes", "more rows", "fewer rows",
+        "int64", "signed", "C order", "extra column", "out of range", "pickled", "npz", "directory",
+    ])
+    def test_unusable_file_is_a_miss_and_is_rewritten(self, tmp_path, damage):
+        path, out = tmp_path / "d.csv", tmp_path / "out"
+        out.mkdir()
+        path.write_text("A,B\nx,y\nz,w\nz,y\n", encoding="utf-8")
+        parsed = load_dataset(path, two_var_schema(), out)
+        cached = out / cache_files(out)[0]
+        good = cached.read_bytes()
+        records = np.load(cached, allow_pickle=False)
+
+        def saved(array, **kwargs):
+            buffer = io.BytesIO()
+            np.save(buffer, array, **kwargs)
+            return buffer.getvalue()
+
+        header = good[: good.index(b"\n") + 1]
+        damaged = {
+            "empty": b"",
+            "truncated header": good[:20],
+            "truncated data": good[:-1],
+            "extra bytes": good + b"\0",
+            "more rows": header.replace(b"(3, 2)", b"(4, 2)") + good[len(header):],
+            "fewer rows": header.replace(b"(3, 2)", b"(2, 2)") + good[len(header):],
+            "int64": saved(records.astype(np.int64)),
+            "signed": saved(records.astype(np.int8)),
+            "C order": saved(np.ascontiguousarray(records)),
+            "extra column": saved(np.asfortranarray(np.column_stack([records, records[:, 0]]))),
+            "out of range": saved(np.asfortranarray(records + 1)),
+            "pickled": saved(records.astype(object), allow_pickle=True),
+            "npz": None,
+            "directory": None,
+        }[damage]
+        cached.unlink()
+        if damage == "npz":
+            np.savez(cached, records)
+            cached.with_name(cached.name + ".npz").rename(cached)
+        elif damage == "directory":
+            cached.mkdir()
+        else:
+            cached.write_bytes(damaged)
+        assert load_dataset(path, two_var_schema(), out) == parsed
+        if damage == "directory":  # cannot be replaced: the parse is still returned
+            assert cached.is_dir()
+        else:
+            assert cached.read_bytes() == good
+        assert not list(out.glob(".*.tmp"))
+
+    def test_extra_column_warning_shows_only_on_a_parse(self, tmp_path):
+        path, out = tmp_path / "d.csv", tmp_path / "out"
+        out.mkdir()
+        path.write_text("A,B,EXTRA\nx,y,1\n", encoding="utf-8")
+        with pytest.warns(UserWarning, match="EXTRA"):
+            load_dataset(path, two_var_schema(), out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_dataset(path, two_var_schema(), out).records.tolist() == [[0, 0]]
+
+    def test_output_directory_that_cannot_hold_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\nx,y\n", encoding="utf-8")
+        data = load_dataset(path, two_var_schema(), tmp_path / "missing")
+        assert data.records.tolist() == [[0, 0]] and not (tmp_path / "missing").exists()
 
 
 LABEL_TEXT = st.text(alphabet="ab1Z\xe9\u20ac", min_size=1, max_size=20).filter(lambda t: len(t.encode()) <= 20)
@@ -540,11 +687,17 @@ class TestSplit:
             make_split(234, 0.15, fold_count=10, fold_fraction=0.10, seed=1)
 
     def test_same_seed_identical(self):
+        def same(x, y):
+            sizes = (x.test_fraction, x.fold_count, x.fold_size) == (y.test_fraction, y.fold_count, y.fold_size)
+            return sizes and all(
+                np.array_equal(p, q) for p, q in zip((x.train_idx, x.test_idx, *x.folds), (y.train_idx, y.test_idx, *y.folds))
+            )
+
         a = make_split(200, 0.2, 4, 0.1, seed=9)
         b = make_split(200, 0.2, 4, 0.1, seed=9)
-        assert a == b
+        assert a.seed == b.seed and same(a, b)
         c = make_split(200, 0.2, 4, 0.1, seed=10)
-        assert a != c
+        assert not same(a, c)
 
     @given(
         st.integers(30, 400),
@@ -560,8 +713,8 @@ class TestSplit:
         except SplitError:
             return
         for indices in (split.train_idx, split.test_idx, *split.folds):
-            assert type(indices) is tuple and all(type(i) is int for i in indices)
-            assert list(indices) == sorted(indices)
+            assert type(indices) is np.ndarray and indices.dtype == np.int64 and not indices.flags.writeable
+            assert np.array_equal(indices, np.sort(indices))
         train, test = set(split.train_idx), set(split.test_idx)
         assert train | test == set(range(n))
         assert not train & test
@@ -578,11 +731,11 @@ class TestSplit:
     def test_plan_csv_matches_line_by_line_writer(self, tmp_path, monkeypatch, n):
         # row indices of 1 to 7 digits; small plans are also written 7 rows a block
         rng = np.random.default_rng(n)
-        perm = rng.permutation(n).tolist()
+        perm = rng.permutation(n)
         n_test = (n + 2) // 3
         size = (n - n_test) // 4
-        folds = tuple(tuple(sorted(perm[n_test + f * size : n_test + (f + 1) * size])) for f in range(3))
-        split = SplitPlan(n, n_test / n, 3, size, tuple(sorted(perm[n_test:])), tuple(sorted(perm[:n_test])), folds)
+        folds = tuple(np.sort(perm[n_test + f * size : n_test + (f + 1) * size]) for f in range(3))
+        split = SplitPlan(n, n_test / n, 3, size, np.sort(perm[n_test:]), np.sort(perm[:n_test]), folds)
         labels = np.full(n, "train_only", dtype=object)
         labels[list(split.test_idx)] = "test"
         for f, fold in enumerate(split.folds, 1):

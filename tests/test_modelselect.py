@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bnpipeline import modelselect
 from bnpipeline.bayesnet import Dag
 from bnpipeline.dataset import Dataset, Schema, VariableSpec
 from bnpipeline.modelselect import (
@@ -164,6 +165,23 @@ class TestRanking:
         # the second column of each row is the first column of the next row
         for row, nxt in zip(ranking.chain, ranking.chain[1:]):
             assert row[1] == nxt[0]
+
+    @pytest.mark.parametrize("prior", [{"alpha0": 1.0}, {"bdeu_ess": 4.0}])
+    def test_shared_families_are_scored_once(self, monkeypatch, prior):
+        models, data = three_candidates()
+        alone = {m.label: log_marginal_likelihood(m.dag, data, **prior) for m in models}
+        counted = []
+        family_counts = modelselect.family_counts
+
+        def counting(d, node, parents):
+            counted.append((node, parents))
+            return family_counts(d, node, parents)
+
+        monkeypatch.setattr(modelselect, "family_counts", counting)
+        ranking = build_ranking(models, data, **prior)
+        families = {(node, m.dag.parents(node)) for m in models for node in m.dag.nodes}
+        assert sorted(counted) == sorted(families) and len(families) < 9
+        assert dict(ranking.entries) == alone  # the same floats, bit for bit
 
     def test_chain_telescopes_to_extreme_bayes_factor(self):
         models, data = three_candidates()
