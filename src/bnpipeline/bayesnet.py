@@ -289,7 +289,7 @@ def subtract_counts(network: FittedNetwork, data: Dataset, folds: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 # cells of the accumulator plus one gathered factor of the widest step, per
-# block of records and draws: 1 MB of float64, so that a block stays in cache
+# block of records: 1 MB of float64, so that a block stays in cache
 _BLOCK_CELLS = 1 << 17
 
 
@@ -392,27 +392,22 @@ def eliminate(
     sets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unnormalized joint mass of each record's evidence with every query
-    state, averaged over draws: shape (records, *query cardinalities).
+    state: shape (records, *query cardinalities).
 
-    params maps each node to a (draws, configs, states) CPT stack;
-    posterior_marginal passes one draw, the posterior mean. Gathers read each
-    stack as (configs * states, draws), so a stack that is the transposed
-    view of a C-contiguous (configs, states, draws) buffer is read in place;
-    any other layout is copied once. records holds state indices in schema
-    column order, -1 where unobserved; query columns are ignored. With sets,
-    one index into the stacks for each record, the stacks are parameter
-    sets rather than draws: record i reads only stack sets[i], and nothing
-    is averaged. Its gathers then index the stacks flattened whole, each
-    record offset by its set.
+    params maps each node to a (sets, configs, states) stack of CPT
+    parameter sets, and record i reads only entry sets[i]; without sets
+    every stack must hold one entry, which every record reads. records holds
+    state indices in schema column order, -1 where unobserved; query columns
+    are ignored.
     Records are grouped by which variables they leave unobserved. Fully
-    observed families are skipped: they cancel under normalization and
-    factor out of the draw average. The unobserved variables are summed out
-    one at a time in min_fill_order, block of records by block, with no
-    limit on their number. A step gathers each factor along the observed
-    columns only when the step consumes it, straight into the step's layout
-    (record, step labels, draw), multiplies it into one accumulator in place
-    and sums the step's variable out; the last step multiplies what is left
-    over the query and averages the draws. The full joint is never built.
+    observed families are skipped: they cancel under normalization. The
+    unobserved variables are summed out one at a time in min_fill_order,
+    block of records by block, with no limit on their number. A step gathers
+    each factor along the observed columns and the record's set only when
+    the step consumes it, straight into the step's layout (record, step
+    labels), multiplies it into one accumulator in place and sums the step's
+    variable out; the last step multiplies what is left over the query. The
+    full joint is never built.
     """
     schema = network.schema
     nodes = network.dag.nodes
@@ -420,16 +415,11 @@ def eliminate(
     records = np.asarray(records, dtype=np.int64)
     observed = records[:, [schema.index(n) for n in nodes]] >= 0
     observed[:, [nodes.index(q) for q in query]] = False
-    if sets is None:
-        n_draws = len(next(iter(params.values())))
-        # (configs * states, draws): a gather then copies whole rows of draws
-        flat = {n: stack.transpose(1, 2, 0).reshape(-1, n_draws) for n, stack in params.items()}
-        set_size = dict.fromkeys(params, 0)
-    else:
-        n_draws = 1
-        flat = {n: np.reshape(stack, (-1, 1)) for n, stack in params.items()}
-        set_size = {n: stack[0].size for n, stack in params.items()}
-        sets = np.asarray(sets, dtype=np.int64)
+    if sets is None and len(next(iter(params.values()))) != 1:
+        raise ValueError("stacks of several parameter sets need sets, one index per record")
+    sets = np.zeros(len(records), dtype=np.int64) if sets is None else np.asarray(sets, dtype=np.int64)
+    flat = {n: np.reshape(stack, -1) for n, stack in params.items()}
+    set_size = {n: stack[0].size for n, stack in params.items()}
     out = np.empty((len(records),) + tuple(card[q] for q in query))
     for pattern, rows in missing_groups(observed):
         free = {n for n, seen in zip(nodes, pattern) if not seen}
@@ -453,23 +443,22 @@ def eliminate(
             plan.append((gathers, messages, axis))
         # the last step's labels are sorted; put them in query order
         final = (0, *(1 + steps[-1][0].index(q) for q in query))
-        step = max(1, _BLOCK_CELLS // (n_draws * 2 * width))
+        step = max(1, _BLOCK_CELLS // (2 * width))
         for start in range(0, len(rows), step):
             block = records[rows[start : start + step]]
-            block_sets = 0 if sets is None else sets[rows[start : start + step]]
+            block_sets = sets[rows[start : start + step]]
             results = []
             for gathers, messages, axis in plan:
                 acc = None
                 for table, offsets, fixed, size in gathers:
-                    # without sets, a family with no observed variable gets a record axis of size 1
                     base = sum(block[:, col] * stride for col, stride in fixed.items()) + block_sets * size
                     acc = _multiply_into(acc, table[np.reshape(base, (-1,) + (1,) * offsets.ndim) + offsets])
                 for m, shape in messages:
                     message = results[m]
                     results[m] = None
-                    acc = _multiply_into(acc, message.reshape(len(message), *shape, n_draws))
+                    acc = _multiply_into(acc, message.reshape(len(message), *shape))
                 results.append(None if axis is None else acc.sum(axis=axis))
-            out[rows[start : start + step]] = (acc.sum(axis=-1) / n_draws).transpose(final)
+            out[rows[start : start + step]] = acc.transpose(final)
     return out
 
 
@@ -500,8 +489,9 @@ def posterior_marginal(
     count tables per node, (sets, configs, states) as subtract_counts
     returns them for the folds of cross-validation, and sets holds the
     index of the stack entry that scores each record. The posterior means
-    of every entry are stacked, so that one eliminate call scores every
-    record under its own counts.
+    of every entry are eliminate's parameter sets, so that one call scores
+    every record under its own counts. Without counts the one set is the
+    posterior mean of the network's own counts, which every record reads.
 
     Prediction needs no parameter draws. With Dirichlet priors and complete
     training data the CPT rows are independent Dirichlets, and every term of

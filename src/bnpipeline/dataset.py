@@ -380,39 +380,44 @@ def load_dataset(
     path: str | Path, schema: Schema, out_dir: str | Path, options: CsvOptions | None = None
 ) -> Dataset:
     """ingest_csv's Dataset of a CSV, parsed once per input: its records
-    are kept in out_dir as records-<_records_key>.npy, in the smallest
-    unsigned dtype that holds the schema's largest state index.
+    are kept in out_dir as records-<_records_key>-<SHA-256 of the array's
+    data bytes>.npy, in the smallest unsigned dtype that holds the schema's
+    largest state index.
 
-    A file of that name is mapped read-only as an npy array, which holds no
+    A file of the key is mapped read-only as an npy array, which holds no
     pickles and allocates nothing for a header that claims more rows than
     the file has, and Dataset checks its shape and range. A file that cannot
     be read, is not exactly header plus array, or has the wrong dtype,
-    layout, shape or a state out of range counts as absent. When it is
-    absent, ingest_csv parses the CSV, with all its errors and its warning
-    about columns not in the schema, which so shows only on a parse. The
-    records are then written under a temporary name, flushed to disk and
-    renamed into place, and every other records-*.npy in out_dir is removed.
-    A file that cannot be written is skipped: it only saves a later call
-    the parse. Editing the CSV or the schema changes the name, and deleting
-    the file costs one parse.
+    layout, shape, a state out of range or data that do not hash to its name
+    counts as absent. When it is absent, ingest_csv parses the CSV, with all
+    its errors and its warning about columns not in the schema, which so
+    shows only on a parse. The records are then written under a temporary
+    name, flushed to disk and renamed into place, and every other
+    records-*.npy in out_dir is removed. A file that cannot be written is
+    skipped: it only saves a later call the parse. Editing the CSV or the
+    schema changes the name, and deleting the file costs one parse.
     """
     out_dir = Path(out_dir)
-    cached = out_dir / f"records-{_records_key(path, schema, options)}.npy"
+    key = _records_key(path, schema, options)
+    named = lambda records: out_dir / f"records-{key}-{hashlib.sha256(records.ravel(order='F')).hexdigest()}.npy"
     dtype = np.min_scalar_type(max(v.cardinality for v in schema.variables) - 1)
-    try:
-        records = np.lib.format.open_memmap(cached, mode="r")
-        whole = records.offset + records.nbytes == os.path.getsize(cached)
-        if whole and records.dtype == dtype and records.flags.f_contiguous:
-            return Dataset(schema, records)
-    except (OSError, ValueError, EOFError, tokenize.TokenError, DataError):
-        # absent, or not a file this function wrote (numpy's npy header
-        # parser raises TokenError on some damaged headers): parse again
-        pass
+    for cached in out_dir.glob(f"records-{key}-*.npy"):
+        try:
+            records = np.lib.format.open_memmap(cached, mode="r")
+            whole = records.offset + records.nbytes == os.path.getsize(cached)
+            if whole and records.dtype == dtype and records.flags.f_contiguous and named(records) == cached:
+                return Dataset(schema, records)
+        except (OSError, ValueError, EOFError, tokenize.TokenError, DataError):
+            # absent, or not a file this function wrote (numpy's npy header
+            # parser raises TokenError on some damaged headers): parse again
+            pass
     data = ingest_csv(path, schema, options)
+    stored = data.records.astype(dtype, order="F")
+    cached = named(stored)
     temporary = out_dir / f".{cached.name}.{os.getpid()}.tmp"
     try:
         with open(temporary, "wb") as fh:
-            np.save(fh, data.records.astype(dtype, order="F"))
+            np.save(fh, stored)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(temporary, cached)

@@ -8,6 +8,8 @@ states, chains, kept) array per monitored node, and parameter
 <node>_<config * states + state> is one (chains, kept) row of it. The draws
 feed only the traces, their densities and r-hat, which describe the
 parameter posterior; prediction is bayesnet.posterior_marginal's closed form.
+A query averaged over draws is one bayesnet.eliminate call with each record
+repeated once per draw, sets naming the draws, and the masses summed after.
 """
 
 from __future__ import annotations

@@ -279,7 +279,6 @@ def bd_learn(
     data: Dataset,
     constraints: EdgeConstraints | None = None,
     alpha0: float = 1.0,
-    exhaustive: bool | None = None,
     seed: int = 0,
 ) -> CandidateModel:
     """Maximize the Dirichlet marginal-likelihood score.
@@ -288,18 +287,14 @@ def bd_learn(
     searcher runs with the marginal likelihood in place of BIC.
     """
     names = data.schema.names
-    if exhaustive is None:
-        exhaustive = len(names) <= 5
     local = lambda node, ps: local_log_marginal_likelihood(data, node, ps, alpha0)
-    if not exhaustive:
+    if len(names) > 5:
         dag, score = _search(data, local, constraints, 0, seed)
         return CandidateModel(
             "bd", dag,
             {"algorithm": "bd_greedy", "alpha0": alpha0, "seed": seed, "final_score": score},
         )
 
-    if len(names) > 5:
-        raise ValueError("exhaustive enumeration is limited to 5 variables")
     cons = constraints or EdgeConstraints()
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     cache: dict[tuple[str, tuple[str, ...]], float] = {}

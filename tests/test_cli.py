@@ -566,6 +566,37 @@ class TestConfigAndDataDefects:
             "try a larger [model] alpha0\n"
         )
 
+    def test_cv_evidence_mass_underflow_is_3(self, tmp_path, monkeypatch, capsys):
+        # the reproducer above twice over, in cross-validation folds: 80
+        # binary predictors at alpha0 = 1e-9, one row of fold 1 with X0..X39
+        # all 1 and two rows of fold 2 with X40..X79 all 1. Each fold's
+        # training rows, the other fold's included, hold no 1 in the block
+        # its own rows set, so each of the three multiplies 40 posterior
+        # means near 1e-11, and the line counts them over both folds
+        monkeypatch.chdir(tmp_path)
+        specs = [VariableSpec("T", ("0", "1"), "target")]
+        specs += [VariableSpec(f"X{i}", ("0", "1")) for i in range(80)]
+        schema = Schema(tuple(specs))
+        records = np.zeros((60, 81), dtype=np.int64)
+        records[:, 0] = np.random.default_rng(3).integers(0, 2, 60)
+        folds = make_split(60, 0.15, 10, 0.08, 5).folds
+        records[folds[0][:1], 1:41] = 1
+        records[folds[1][:2], 41:] = 1
+        write_csv(Dataset(schema, records), tmp_path / "wide.csv")
+        write_schema(schema, tmp_path / "wide.schema")
+        (tmp_path / "wide.ini").write_text(
+            "[data]\ndataset = wide.csv\nschema = wide.schema\n\n[learn]\nlearners = naive\n\n"
+            "[split]\nseed = 5\n\n[model]\nalpha0 = 1e-9\n",
+            encoding="utf-8",
+        )
+        assert run("learn", "--config", "wide.ini") == 0
+        capsys.readouterr()
+        assert run("cv", "--config", "wide.ini") == 3
+        assert capsys.readouterr().err == (
+            "data error: the evidence mass of 3 record(s) underflowed to 0 in floating point; "
+            "try a larger [model] alpha0\n"
+        )
+
     def test_keep_naming_no_variable_is_2(self, workspace, capsys):
         (workspace / "keep.ini").write_text(
             CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="NOPE", rhat="1.1"), encoding="utf-8"

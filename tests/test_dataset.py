@@ -552,6 +552,23 @@ class TestRecordsCache:
             assert cached.read_bytes() == good
         assert not list(out.glob(".*.tmp"))
 
+    def test_changed_in_range_state_is_a_miss(self, tmp_path):
+        # one data byte changed to another state of its variable keeps the
+        # size, dtype, layout and range; only the digest in the name tells
+        path, out = tmp_path / "d.csv", tmp_path / "out"
+        out.mkdir()
+        path.write_text("A,B\nx,y\nz,w\nz,y\n", encoding="utf-8")
+        parsed = ingest_csv(path, two_var_schema())
+        load_dataset(path, two_var_schema(), out)
+        (name,) = cache_files(out)
+        good = (out / name).read_bytes()
+        assert good[-1] == 0  # B of the last row, y; w is state 1
+        (out / name).write_bytes(good[:-1] + b"\x01")
+        with mock.patch.object(dataset, "ingest_csv", wraps=dataset.ingest_csv) as parse:
+            assert load_dataset(path, two_var_schema(), out) == parsed
+        assert parse.call_count == 1
+        assert cache_files(out) == [name] and (out / name).read_bytes() == good
+
     def test_extra_column_warning_shows_only_on_a_parse(self, tmp_path):
         path, out = tmp_path / "d.csv", tmp_path / "out"
         out.mkdir()

@@ -337,6 +337,16 @@ def averaged_mass_brute_force(network, stack, evidence, query):
     return average / average.sum()
 
 
+def summed_over_draws(network, stack, records, query):
+    """eliminate's mass of each record summed over the draws of stack: each
+    record repeated once per draw, each copy reading its draw's parameter
+    set, and the per-draw masses summed here."""
+    n_draws = len(next(iter(stack.values())))
+    sets = np.tile(np.arange(n_draws), len(records))
+    mass = eliminate(network, stack, np.repeat(records, n_draws, axis=0), query, sets=sets)
+    return mass.reshape(len(records), n_draws, *mass.shape[1:]).sum(axis=1)
+
+
 class TestEliminateDrawStack:
     def test_draw_stack_matches_averaged_brute_force(self):
         rng = np.random.default_rng(61)
@@ -352,7 +362,7 @@ class TestEliminateDrawStack:
                 [rng.integers(0, net.schema.cardinality(n), size=6) for n in names]
             )
             records[rng.random(records.shape) < 0.4] = -1
-            mass = eliminate(net, stack, records, (query,))
+            mass = summed_over_draws(net, stack, records, (query,))
             got = mass / mass.sum(axis=1, keepdims=True)
             for row, probs in zip(records, got):
                 evidence = {n: int(s) for n, s in zip(names, row) if s >= 0 and n != query}
@@ -365,7 +375,7 @@ class TestEliminateDrawStack:
             net = random_network(rng, max_nodes=6)
             names = list(net.schema.names)
             query = names[int(rng.integers(len(names)))]
-            # (configs, states, draws) buffers read through transposed views, as mcmc lays them out
+            # (configs, states, draws) buffers read through transposed views, as _draw_chain returns them
             stack = {
                 n: np.stack([rng.dirichlet(row, size=7).T for row in net.cpts[n].posterior]).transpose(2, 0, 1)
                 for n in names
@@ -374,9 +384,9 @@ class TestEliminateDrawStack:
                 [rng.integers(0, net.schema.cardinality(n), size=16) for n in names]
             )
             records[rng.random(records.shape) < 0.5] = -1
-            default = eliminate(net, stack, records, (query,))
+            default = summed_over_draws(net, stack, records, (query,))
             monkeypatch.setattr(bayesnet, "_BLOCK_CELLS", 1)  # one record per block
-            single = eliminate(net, stack, records, (query,))
+            single = summed_over_draws(net, stack, records, (query,))
             monkeypatch.undo()
             assert np.allclose(single, default, rtol=1e-12, atol=1e-12)
             got = default / default.sum(axis=1, keepdims=True)
@@ -384,6 +394,14 @@ class TestEliminateDrawStack:
                 evidence = {n: int(s) for n, s in zip(names, row) if s >= 0 and n != query}
                 want = averaged_mass_brute_force(net, stack, evidence, query)
                 assert np.allclose(probs, want, atol=1e-9)
+
+    def test_a_stack_of_draws_needs_sets(self):
+        # without sets a stack of several entries would be read at entry 0
+        net = random_network(np.random.default_rng(63))
+        stack = {n: np.stack([cpt.posterior_mean] * 2) for n, cpt in net.cpts.items()}
+        records = np.full((3, len(net.schema.names)), -1)
+        with pytest.raises(ValueError, match="need sets, one index per record"):
+            eliminate(net, stack, records, (net.schema.names[0],))
 
 
 class TestSamplerReference:
@@ -430,7 +448,7 @@ def draw_average(network, records, target, config):
     for chain in range(config.chains):
         buffers = {n: np.empty(network.cpts[n].posterior.shape + (config.kept_per_chain,)) for n in nodes}
         draws = _draw_chain(network, nodes, config, chain, buffers)
-        mass = mass + eliminate(network, draws, records, (target,))
+        mass = mass + summed_over_draws(network, draws, records, (target,))
     return mass / mass.sum(axis=1, keepdims=True)
 
 

@@ -393,11 +393,6 @@ class TestBdLearn:
         assert model.provenance["algorithm"] == "bd_greedy"
         assert model.dag.nodes == data.schema.names
 
-    def test_exhaustive_mode_capped_at_five(self):
-        data = independent_data(m=6, n=50, seed=18)
-        with pytest.raises(ValueError):
-            bd_learn(data, exhaustive=True)
-
     def test_exhaustive_respects_constraints(self):
         data = independent_data(m=3, n=200, seed=16)
         cons = EdgeConstraints(whitelist=(("A", "B"),), blacklist=(("B", "C"),))
