@@ -172,15 +172,23 @@ def cmd_learn(cfg: PipelineConfig) -> None:
     candidates = _learn_candidates(cfg, data)
     target = data.schema.target
     counted: dict = {}  # family tables, shared by the candidates
+    written = set()
     for cand in candidates:
-        bayesnet.write_structure(cand.dag, structures / f"{cand.label}.structure")
+        structure = structures / f"{cand.label}.structure"
+        bayesnet.write_structure(cand.dag, structure)
         network = bayesnet.fit_conjugate(cand.dag, data, cfg.alpha0, counted)
         report = bayesnet.sensitivity_report(network, target)
-        with open(out / f"sensitivity_{cand.label}.csv", "w", newline="", encoding="utf-8") as fh:
+        sensitivity = out / f"sensitivity_{cand.label}.csv"
+        with open(sensitivity, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["variable", "score"])
             for name, score in report:
                 writer.writerow([name, repr(score)])
+        written.update([structure, sensitivity])
+    # every candidate succeeded: outputs of an earlier run's other candidates go
+    for stale in [*structures.glob("*.structure"), *out.glob("sensitivity_*.csv")]:
+        if stale not in written:
+            stale.unlink()
     write_effective_config(cfg, out / "effective_config.ini")
 
 
@@ -295,7 +303,7 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
     if unknown:
         raise ConfigError(f"monitor names {unknown} are not nodes of the chosen structure")
     draws = mcmc.sample_parameters(network, cfg.mcmc_config(), monitor)
-    mcmc.export_traces(draws, _make_dir(out / "traces"))
+    mcmc.export_traces(draws, {n: network.cpts[n].posterior for n in draws}, _make_dir(out / "traces"))
     rhat = mcmc.gelman_rubin(draws)
     with open(out / "rhat.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -78,12 +78,6 @@ class VariableSpec:
     def cardinality(self) -> int:
         return len(self.states)
 
-    def state_index(self, label: str) -> int:
-        try:
-            return self.states.index(label)
-        except ValueError:
-            raise KeyError(f"{label!r} is not a state of {self.name!r}") from None
-
 
 @dataclass(frozen=True)
 class Schema:

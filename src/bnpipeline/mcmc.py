@@ -6,19 +6,20 @@ samples per chain. Such draws need no warm-up and no thinning: each chain
 draws only the rows it keeps. sample_parameters returns one (configs,
 states, chains, kept) array per monitored node, and parameter
 <node>_<config * states + state> is one (chains, kept) row of it. The draws
-feed only the traces, their densities and r-hat, which describe the
-parameter posterior; prediction is bayesnet.posterior_marginal's closed form.
-A query averaged over draws is one bayesnet.eliminate call with each record
-repeated once per draw, sets naming the draws, and the masses summed after.
+feed only the traces and r-hat, which describe the parameter posterior. Each
+parameter's density is exact, not estimated from them: entry k of a
+Dirichlet row is Beta(a_k, sum of the other entries). Prediction is
+bayesnet.posterior_marginal's closed form.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -121,14 +122,6 @@ def sample_parameters(
     return draws
 
 
-def _parameters(draws: Mapping[str, np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:
-    """('<node>_<index>', (chains, kept) draws) for every monitored parameter:
-    index config * states + state is that row of the node's flattened draws."""
-    for node, arr in draws.items():
-        for index, series in enumerate(arr.reshape(-1, *arr.shape[2:])):
-            yield f"{node}_{index}", series
-
-
 # ---------------------------------------------------------------------------
 # posterior prediction
 # ---------------------------------------------------------------------------
@@ -201,10 +194,10 @@ def write_predictions(
 def gelman_rubin(draws: Mapping[str, np.ndarray]) -> dict[str, float]:
     """Split-chain potential scale reduction factor per parameter: each
     chain's two halves are two sequences, every parameter's at once."""
-    params = dict(_parameters(draws))
-    if not params:
+    if not draws:
         raise ValueError("no monitored parameters")
-    stack = np.stack(list(params.values()))
+    names = [f"{node}_{index}" for node, arr in draws.items() for index in range(arr.shape[0] * arr.shape[1])]
+    stack = np.concatenate([arr.reshape(-1, *arr.shape[2:]) for arr in draws.values()])
     p, chains, kept = stack.shape
     if chains < 2:
         raise ValueError("need at least 2 chains")
@@ -215,65 +208,68 @@ def gelman_rubin(draws: Mapping[str, np.ndarray]) -> dict[str, float]:
     within = seqs.var(axis=2, ddof=1).mean(axis=1)
     constant = np.flatnonzero(within == 0.0)
     if constant.size:
-        raise ConstantChain(f"parameter {list(params)[constant[0]]} has zero within-chain variance")
+        raise ConstantChain(f"parameter {names[constant[0]]} has zero within-chain variance")
     between = n * seqs.mean(axis=2).var(axis=1, ddof=1)
     var_plus = (n - 1) / n * within + between / n
-    return dict(zip(params, np.sqrt(var_plus / within).tolist()))
+    return dict(zip(names, np.sqrt(var_plus / within).tolist()))
 
 
-_KDE_BLOCK_CELLS = 1 << 16  # grid x draws cells summed at a time
+def _beta_densities(alpha: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, density) arrays of one node, one row per parameter: the exact
+    Beta(a, b) marginal of each parameter, a its pseudo-count in alpha and b
+    the sum of its row's other entries (not the row sum minus a, which can
+    round to 0), on 256 points over the parameter's pooled draws.
+
+    The pdf is evaluated in log space, with 0 * log 0 taken as 0, so it is
+    inf only at a grid point of 0 or 1 whose exponent is below 0, or where
+    it exceeds the float range (next to 0 or 1 at a pseudo-count below 1).
+    """
+    a = alpha.reshape(-1)
+    b = np.where(np.eye(alpha.shape[1], dtype=bool), 0.0, alpha[:, None, :]).sum(axis=2).reshape(-1)
+    pooled = draws.reshape(a.size, -1)
+    grid = np.linspace(pooled.min(axis=1), pooled.max(axis=1), 256, axis=1)
+    log_beta = [math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) for x, y in zip(a.tolist(), b.tolist())]
+    am1, bm1 = (a - 1.0)[:, None], (b - 1.0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_x = np.where(am1 == 0.0, 0.0, am1 * np.log(grid))
+        log_1mx = np.where(bm1 == 0.0, 0.0, bm1 * np.log1p(-grid))
+        return grid, np.exp(log_x + log_1mx - np.asarray(log_beta)[:, None])
 
 
-def _kde(samples: np.ndarray, grid_points: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian kernel density on a grid, Silverman's bandwidth. The grid is
-    summed a block of rows at a time, in place in one block buffer; each
-    row's sum is the same as over the whole grid x draws matrix at once.
-    Reusing the buffer keeps the blocks off the allocator: freed blocks of
-    this size can go back to the OS and fault in again for the next one."""
-    s = np.asarray(samples, dtype=float)
-    n = s.size
-    std = float(s.std())
-    if std == 0.0:
-        bw = max(abs(float(s[0])), 1.0) * 1e-9
-    else:
-        bw = std * (4.0 / (3.0 * n)) ** 0.2
-    grid = np.linspace(s.min() - 4.0 * bw, s.max() + 4.0 * bw, grid_points)
-    dens = np.empty(grid_points)
-    rows = max(1, _KDE_BLOCK_CELLS // n)
-    buffer = np.empty((min(rows, grid_points), n))
-    for lo in range(0, grid_points, rows):
-        z = buffer[: min(rows, grid_points - lo)]
-        np.subtract(grid[lo : lo + rows, None], s[None, :], out=z)
-        z /= bw
-        np.square(z, out=z)
-        z *= -0.5
-        dens[lo : lo + rows] = np.exp(z, out=z).sum(axis=1)
-    dens /= n * bw * math.sqrt(2.0 * math.pi)
-    return grid, dens
+def export_traces(
+    draws: Mapping[str, np.ndarray], posteriors: Mapping[str, np.ndarray], out_dir: str | Path
+) -> list[Path]:
+    """Per-parameter trace and density CSVs under out_dir, whose other
+    trace_*.csv and density_*.csv files are removed.
 
-
-def export_traces(draws: Mapping[str, np.ndarray], out_dir: str | Path) -> list[Path]:
-    """Per-parameter trace and density CSVs under out_dir.
-
-    trace_<node>_<index>.csv holds (chain, iteration, value) rows; the
-    matching density_<node>_<index>.csv holds a per-chain kernel density
-    estimate as (chain, value, density) rows. Each chain's rows are
-    formatted in one pass and written at once.
+    trace_<node>_<index>.csv holds (chain, iteration, value) rows, each
+    chain's joined in one pass from "{chain},{iteration}," prefixes built
+    once per export. The matching density_<node>_<index>.csv holds
+    (value, density) rows: the parameter's exact Beta marginal under the
+    node's posterior pseudo-counts in posteriors, on 256 points over its
+    pooled draws.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    chains = max((arr.shape[2] for arr in draws.values()), default=0)
+    kept = max((arr.shape[3] for arr in draws.values()), default=0)
+    prefixes = [[f"{chain},{it}," for it in range(1, kept + 1)] for chain in range(1, chains + 1)]
     written = []
-    for name, chains in _parameters(draws):
-        trace_path = out / f"trace_{name}.csv"
-        with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("chain,iteration,value\n")
-            for chain_no, series in enumerate(chains, 1):
-                fh.write("".join(f"{chain_no},{it},{v!r}\n" for it, v in enumerate(series.tolist(), 1)))
-        dens_path = out / f"density_{name}.csv"
-        with open(dens_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("chain,value,density\n")
-            for chain_no, series in enumerate(chains, 1):
-                grid, dens = _kde(series)
-                fh.write("".join(f"{chain_no},{v!r},{d!r}\n" for v, d in zip(grid.tolist(), dens.tolist())))
-        written.extend([trace_path, dens_path])
+    for node, arr in draws.items():
+        grids, densities = _beta_densities(posteriors[node], arr)
+        params = arr.reshape(-1, *arr.shape[2:])
+        for index, (series, grid, density) in enumerate(zip(params, grids.tolist(), densities.tolist())):
+            trace_path = out / f"trace_{node}_{index}.csv"
+            with open(trace_path, "w", newline="", encoding="utf-8") as fh:
+                fh.write("chain,iteration,value\n")
+                for rows, values in zip(prefixes, series.tolist()):
+                    fh.write("\n".join(map(operator.add, rows, map(repr, values))) + "\n")
+            dens_path = out / f"density_{node}_{index}.csv"
+            with open(dens_path, "w", newline="", encoding="utf-8") as fh:
+                fh.write("value,density\n" + "".join(f"{v!r},{d!r}\n" for v, d in zip(grid, density)))
+            written.extend([trace_path, dens_path])
+    keep = set(written)
+    for stale in [*out.glob("trace_*.csv"), *out.glob("density_*.csv")]:
+        if stale not in keep:
+            stale.unlink()
     return written

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,39 @@ class TestPipelinePhases:
         assert "naive" in labels
         assert (workspace / "out" / "structures" / "naive.structure").is_file()
 
+    def test_learn_again_removes_the_other_candidates(self, workspace):
+        for cmd in ("select", "learn"):
+            assert run(cmd, "--config", "pipeline.ini") == 0
+        (workspace / "naive.ini").write_text(
+            (workspace / "pipeline.ini").read_text()
+            .replace("learners = hc, chowliu, tan, naive, bd", "learners = naive"),
+            encoding="utf-8",
+        )
+        for cmd in ("learn", "compare"):
+            assert run(cmd, "--config", "naive.ini") == 0
+        out = workspace / "out"
+        assert sorted(p.stem for p in (out / "structures").glob("*.structure")) == ["naive", "truth"]
+        assert sorted(p.name for p in out.glob("sensitivity_*.csv")) == [
+            "sensitivity_naive.csv", "sensitivity_truth.csv",
+        ]
+        surviving = (out / "surviving_models.txt").read_text().split()
+        assert not {"hc", "chowliu", "tan", "bd"} & set(surviving)
+
+    def test_fit_predict_again_removes_traces_it_did_not_write(self, workspace):
+        cfg = (workspace / "pipeline.ini").read_text().replace("[predict]", "[predict]\nmodel = truth")
+        (workspace / "both.ini").write_text(cfg.replace("[mcmc]", "[mcmc]\nmonitor = T, P"), encoding="utf-8")
+        (workspace / "one.ini").write_text(cfg.replace("[mcmc]", "[mcmc]\nmonitor = T"), encoding="utf-8")
+        for cmd in ("select", "learn"):
+            assert run(cmd, "--config", "both.ini") == 0
+        traces = workspace / "out" / "traces"
+        assert run("fit-predict", "--config", "both.ini") == 0
+        assert len(list(traces.glob("trace_P_*.csv"))) == len(list(traces.glob("density_P_*.csv"))) == 9
+        (traces / "notes.csv").write_text("not a trace\n", encoding="utf-8")
+        assert run("fit-predict", "--config", "one.ini") == 0
+        assert sorted(p.name for p in traces.iterdir()) == sorted(
+            [f"{kind}_T_{k}.csv" for kind in ("trace", "density") for k in range(3)] + ["notes.csv"]
+        )
+
     def test_select_idempotent_bytes(self, workspace):
         assert run("select", "--config", "pipeline.ini") == 0
         first = {
@@ -361,7 +395,10 @@ class TestExitCodes:
         for cmd in ("select", "learn"):
             assert run(cmd, "--config", "constant.ini") == 0
         capsys.readouterr()
-        assert run("fit-predict", "--config", "constant.ini") == 4
+        # the draws are exactly 0 and 1: writing their densities warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit-predict", "--config", "constant.ini") == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("diagnostic failure: parameter ")
         assert err[0].endswith(" has zero within-chain variance")

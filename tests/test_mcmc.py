@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from bnpipeline.bayesnet import Cpt, Dag, FittedNetwork, fit_conjugate
 from bnpipeline.bayesnet import eliminate, posterior_marginal
 from bnpipeline.dataset import Dataset, Schema, VariableSpec
 from bnpipeline.mcmc import (
-    _KDE_BLOCK_CELLS,
     ConstantChain,
     McmcConfig,
     PosteriorPredictive,
@@ -22,7 +22,7 @@ from bnpipeline.mcmc import (
     summarize_distribution,
     write_predictions,
 )
-from bnpipeline.mcmc import _draw_chain, _kde
+from bnpipeline.mcmc import _draw_chain
 from bnpipeline.simulate import sample_dataset
 from test_bayesnet import random_network
 
@@ -279,38 +279,98 @@ class TestGelmanRubin:
             gelman_rubin({"A": np.concatenate([short, short], axis=2)})
 
 
+def posteriors_of(network, draws):
+    return {n: network.cpts[n].posterior for n in draws}
+
+
+def read_density(path):
+    """(grid, density) columns of a density CSV, after checking its header."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "value,density"
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]]).T
+
+
+def trapezoid_area(xs, ys):
+    # the trapezoid rule by hand: np.trapezoid needs numpy 2
+    return float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) / 2)
+
+
 class TestExportTraces:
     def test_files_and_row_counts(self, tmp_path):
         net = single_node_network([2.0, 3.0, 4.0])
         cfg = McmcConfig(seed=40, chains=3, adapt_iters=0, burnin_iters=0, sample_iters=1000)
         draws = sample_parameters(net, cfg)
-        export_traces(draws, tmp_path)
+        export_traces(draws, posteriors_of(net, draws), tmp_path)
         for k in range(3):
             trace = tmp_path / f"trace_A_{k}.csv"
             assert trace.is_file()
             lines = trace.read_text().splitlines()
             assert lines[0] == "chain,iteration,value"
             assert len(lines) == 1 + 3 * 1000
+            assert read_density(tmp_path / f"density_A_{k}.csv").shape == (2, 256)
         # same run, same files
         again = tmp_path / "again"
-        export_traces(draws, again)
+        export_traces(draws, posteriors_of(net, draws), again)
         assert (again / "trace_A_1.csv").read_bytes() == (tmp_path / "trace_A_1.csv").read_bytes()
 
     def test_density_integrates_to_one(self, tmp_path):
         net = single_node_network([5.0, 5.0])
         cfg = McmcConfig(seed=41, chains=2, adapt_iters=0, burnin_iters=0, sample_iters=800)
-        export_traces(sample_parameters(net, cfg), tmp_path)
-        rows = (tmp_path / "density_A_0.csv").read_text().splitlines()[1:]
-        by_chain = {}
-        for row in rows:
-            chain, value, dens = row.split(",")
-            by_chain.setdefault(chain, []).append((float(value), float(dens)))
-        for pts in by_chain.values():
-            xs = np.array([p[0] for p in pts])
-            ys = np.array([p[1] for p in pts])
-            # the trapezoid rule by hand: np.trapezoid needs numpy 2
-            area = float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) / 2)
-            assert area == pytest.approx(1.0, abs=0.01)
+        draws = sample_parameters(net, cfg)
+        export_traces(draws, posteriors_of(net, draws), tmp_path)
+        xs, ys = read_density(tmp_path / "density_A_0.csv")
+        # one curve over the pooled draws of both chains
+        assert xs[0] == draws["A"][0, 0].min() and xs[-1] == draws["A"][0, 0].max()
+        assert trapezoid_area(xs, ys) == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("row", [[2.5, 3.0, 1.5], [0.7, 0.4], [1.0, 6.0, 0.2, 3.3]])
+    def test_density_is_the_beta_pdf_point_by_point(self, tmp_path, row):
+        net = single_node_network(row)
+        draws = sample_parameters(net, McmcConfig(seed=42, chains=2, sample_iters=300))
+        export_traces(draws, posteriors_of(net, draws), tmp_path)
+        for k, a in enumerate(row):
+            b = sum(row) - a
+            beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+            xs, ys = read_density(tmp_path / f"density_A_{k}.csv")
+            for x, y in zip(xs, ys):
+                assert y == pytest.approx(x ** (a - 1) * (1 - x) ** (b - 1) / beta, rel=1e-12)
+
+    def test_density_matches_a_histogram_of_200k_draws(self, tmp_path):
+        net = single_node_network([3.0, 5.0, 2.0])
+        draws = sample_parameters(net, McmcConfig(seed=43, chains=2, sample_iters=100_000))
+        export_traces(draws, posteriors_of(net, draws), tmp_path)
+        xs, ys = read_density(tmp_path / "density_A_0.csv")
+        pooled = draws["A"][0, 0].ravel()
+        n = pooled.size
+        # 15 bins of 17 grid intervals each: the curve's mass in a bin by the
+        # trapezoid rule against the share of the draws that fall in it. The
+        # bound is five binomial standard errors plus 1e-4 for the rule.
+        edges = xs[::17]
+        counts, _ = np.histogram(pooled, bins=edges)
+        for i, count in enumerate(counts):
+            lo, hi = 17 * i, 17 * (i + 1) + 1
+            mass = trapezoid_area(xs[lo:hi], ys[lo:hi])
+            assert abs(count / n - mass) <= 5 * math.sqrt(mass * (1 - mass) / n) + 1e-4
+
+    @pytest.mark.parametrize("row, series, want", [
+        # alpha0 = 1e-9 at a state no record saw: every draw is exactly 0 or 1
+        ([1e-9, 5.0], [[0.0, 0.0], [1.0, 1.0]], [math.inf, math.inf]),
+        # 5 + 1e-20 - 5 is 0, and lgamma(0) raises: b is the other entries' sum
+        ([1e-20, 5.0], [[0.0, 0.0], [1.0, 1.0]], [math.inf, math.inf]),
+        # Beta(1, 1) is 1 on [0, 1], ends included: 0 * log 0 counts as 0
+        ([1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]),
+        # Beta(2, 1) is 2x and Beta(1, 2) is 2(1 - x)
+        ([2.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [0.0, 2.0]),
+    ])
+    def test_degenerate_draws_give_no_nan_and_no_warning(self, tmp_path, row, series, want):
+        chains = np.asarray(series)[:, None, :].repeat(2, axis=1)  # (states, chains, kept)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            export_traces({"A": chains[None]}, {"A": np.asarray([row])}, tmp_path)
+        _, ys = read_density(tmp_path / "density_A_0.csv")
+        assert [ys[0], ys[-1]] == pytest.approx(want, rel=1e-12)
+        for k in range(2):
+            assert not np.isnan(read_density(tmp_path / f"density_A_{k}.csv")[1]).any()
 
 
 def averaged_mass_brute_force(network, stack, evidence, query):
@@ -499,31 +559,6 @@ class TestClosedFormPredictive:
         assert peak < 50 * one_draw
 
 
-def one_shot_kde(samples, grid_points=256):
-    """The density over the whole grid x draws matrix at once."""
-    s = np.asarray(samples, dtype=float)
-    n = s.size
-    std = float(s.std())
-    bw = max(abs(float(s[0])), 1.0) * 1e-9 if std == 0.0 else std * (4.0 / (3.0 * n)) ** 0.2
-    grid = np.linspace(s.min() - 4.0 * bw, s.max() + 4.0 * bw, grid_points)
-    z = (grid[:, None] - s[None, :]) / bw
-    return grid, np.exp(-0.5 * z * z).sum(axis=1) / (n * bw * math.sqrt(2.0 * math.pi))
-
-
-class TestKde:
-    @pytest.mark.parametrize("samples", [
-        np.random.default_rng(50).beta(2.0, 5.0, _KDE_BLOCK_CELLS + 4_464),  # one row a block
-        np.random.default_rng(51).normal(0.3, 0.1, 3_000),  # 21 rows a block, a short last one
-        np.random.default_rng(52).gamma(3.0, 1.0, 2_000),  # the demo's draws per chain
-        np.full(500, 0.25),  # a constant chain
-    ], ids=["longer_than_a_block", "uneven_blocks", "demo_sized", "constant"])
-    def test_blocks_equal_the_one_shot_sum(self, samples):
-        grid, dens = _kde(samples)
-        want_grid, want_dens = one_shot_kde(samples)
-        assert np.array_equal(grid, want_grid)
-        assert np.array_equal(dens, want_dens)
-
-
 def reference_parameters(draws):
     """'<node>_<index>' -> per-chain 1-D draws, index config * states + state."""
     out = {}
@@ -563,10 +598,26 @@ def reference_gelman_rubin(draws):
     return out
 
 
-def reference_export_traces(draws, out):
-    """Trace and density CSVs written one csv.writer row at a time."""
+def reference_beta_pdf(x, a, b):
+    """The Beta(a, b) density at x by math.lgamma and math.log, one point at
+    a time; inf where an exponent below 0 meets an end of [0, 1]."""
+    if (x == 0.0 and a < 1.0) or (x == 1.0 and b < 1.0):
+        return math.inf
+    log_pdf = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    if a != 1.0:
+        log_pdf += (a - 1.0) * math.log(x) if x > 0.0 else -math.inf
+    if b != 1.0:
+        log_pdf += (b - 1.0) * math.log1p(-x) if x < 1.0 else -math.inf
+    return math.exp(log_pdf)
+
+
+def reference_export_traces(draws, posteriors, out):
+    """Trace CSVs written one csv.writer row at a time, and per parameter
+    the density's (grid, values): 256 points from the pooled draws' min to
+    max, and the Beta pdf of the pseudo-count and the sum of the other
+    entries of its row."""
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    traces, densities = [], []
     for name, chains in reference_parameters(draws).items():
         node, index = name.rsplit("_", 1)
         trace_path = out / f"trace_{node}_{index}.csv"
@@ -576,16 +627,14 @@ def reference_export_traces(draws, out):
             for chain_no, series in enumerate(chains, 1):
                 for it, value in enumerate(series, 1):
                     writer.writerow([chain_no, it, repr(float(value))])
-        dens_path = out / f"density_{node}_{index}.csv"
-        with open(dens_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["chain", "value", "density"])
-            for chain_no, series in enumerate(chains, 1):
-                grid, dens = one_shot_kde(series)
-                for v, d in zip(grid, dens):
-                    writer.writerow([chain_no, repr(float(v)), repr(float(d))])
-        written.extend([trace_path, dens_path])
-    return written
+        traces.append(trace_path)
+        row = posteriors[node][int(index) // posteriors[node].shape[1]].tolist()
+        k = int(index) % len(row)
+        a, b = row[k], math.fsum(row[:k] + row[k + 1 :])
+        pooled = np.concatenate(chains)
+        grid = np.linspace(pooled.min(), pooled.max(), 256)
+        densities.append((grid, [reference_beta_pdf(x, a, b) for x in grid.tolist()]))
+    return traces, densities
 
 
 def monitored_network(seed):
@@ -612,12 +661,18 @@ class TestDiagnosticsReference:
         got = gelman_rubin(draws)
         assert list(got) == list(want)
         assert got == want
-        written = export_traces(draws, tmp_path / "new")
-        expected = reference_export_traces(draws, tmp_path / "ref")
-        assert [p.name for p in written] == [p.name for p in expected]
-        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == sorted(p.name for p in expected)
-        for new, ref in zip(written, expected):
+        written = export_traces(draws, posteriors_of(net, draws), tmp_path / "new")
+        traces, densities = reference_export_traces(draws, posteriors_of(net, draws), tmp_path / "ref")
+        assert [p.name for p in written] == [
+            name for p in traces for name in (p.name, p.name.replace("trace_", "density_"))
+        ]
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == sorted(p.name for p in written)
+        for new, ref in zip(written[::2], traces):
             assert new.read_bytes() == ref.read_bytes()
+        for new, (grid, dens) in zip(written[1::2], densities):
+            xs, ys = read_density(new)
+            assert xs.tolist() == grid.tolist()
+            np.testing.assert_allclose(ys, dens, rtol=1e-12, atol=0)
 
     def test_constant_chain_names_the_first_constant_parameter(self):
         rng = np.random.default_rng(97)
