@@ -1,14 +1,20 @@
 """Directed acyclic graphs, Dirichlet-categorical fitting, and queries.
 
 Queries run by variable elimination (Koller & Friedman 2009, ch. 9). One
-query, posterior_marginal, serves prediction, cross-validation, joint
-marginals and the sensitivity report, and one routine, eliminate, does its
-work. It sums the unobserved variables out one at a time along its own
-min-fill order, gathering each CPT factor along the observed values of a
-block of records only at the step that uses it and multiplying it into
-that step's running product. The full joint is never built, and the number
-of unobserved variables is not limited: the cap bounds the cost of one
-record's elimination, which the network's structure determines.
+query, posterior_marginal, serves prediction, cross-validation and joint
+marginals, and one routine, eliminate, does its work. It sums the
+unobserved variables out one at a time along its own min-fill order,
+gathering each CPT factor along the observed values of a block of records
+only at the step that uses it and multiplying it into that step's running
+product. The full joint is never built, and the number of unobserved
+variables is not limited: the cap bounds the cost of one record's
+elimination, which the network's structure determines.
+
+The sensitivity report needs p(target, X) for every other node X.
+target_pair_marginals calibrates one such elimination: eliminate's upward
+pass with the target observed at each of its states, then a downward pass
+that gives every variable its marginal at the step that eliminated it
+(Koller & Friedman 2009, §10.2-10.4). One plan serves every predictor.
 """
 
 from __future__ import annotations
@@ -411,55 +417,80 @@ def eliminate(
     """
     schema = network.schema
     nodes = network.dag.nodes
-    card = {n: schema.cardinality(n) for n in nodes}
     records = np.asarray(records, dtype=np.int64)
     observed = records[:, [schema.index(n) for n in nodes]] >= 0
     observed[:, [nodes.index(q) for q in query]] = False
     if sets is None and len(next(iter(params.values()))) != 1:
         raise ValueError("stacks of several parameter sets need sets, one index per record")
     sets = np.zeros(len(records), dtype=np.int64) if sets is None else np.asarray(sets, dtype=np.int64)
-    flat = {n: np.reshape(stack, -1) for n, stack in params.items()}
-    set_size = {n: stack[0].size for n, stack in params.items()}
-    out = np.empty((len(records),) + tuple(card[q] for q in query))
+    out = np.empty((len(records),) + tuple(schema.cardinality(q) for q in query))
     for pattern, rows in missing_groups(observed):
         free = {n for n, seen in zip(nodes, pattern) if not seen}
-        families = []  # (node, unobserved scope, strides by variable)
-        for node in nodes:
-            scope = network.cpts[node].parent_order + (node,)
-            if free.isdisjoint(scope):
-                continue
-            strides = dict(zip(scope, [s * card[node] for s in _config_strides(schema, scope[:-1])] + [1]))
-            families.append((node, tuple(v for v in scope if v in free), strides))
-        steps, width = _elimination_steps([hidden for _, hidden, _ in families], card, query, max_states)
-        plan = []  # per step: (flat stack, free-state offsets, observed strides, set size) of each factor, messages, axis
-        for labels, factors, messages, axis in steps:
-            gathers = []
-            for node, hidden, strides in (families[i] for i in factors):
-                offsets = sum(
-                    np.reshape(np.arange(card[u]) * strides[u], [-1 if w == u else 1 for w in labels]) for u in hidden
-                )
-                fixed = {schema.index(u): s for u, s in strides.items() if u not in free}
-                gathers.append((flat[node], offsets, fixed, set_size[node]))
-            plan.append((gathers, messages, axis))
+        steps, width, plan = _plan(network, params, free, query, max_states)
         # the last step's labels are sorted; put them in query order
         final = (0, *(1 + steps[-1][0].index(q) for q in query))
         step = max(1, _BLOCK_CELLS // (2 * width))
         for start in range(0, len(rows), step):
-            block = records[rows[start : start + step]]
-            block_sets = sets[rows[start : start + step]]
-            results = []
-            for gathers, messages, axis in plan:
-                acc = None
-                for table, offsets, fixed, size in gathers:
-                    base = sum(block[:, col] * stride for col, stride in fixed.items()) + block_sets * size
-                    acc = _multiply_into(acc, table[np.reshape(base, (-1,) + (1,) * offsets.ndim) + offsets])
-                for m, shape in messages:
-                    message = results[m]
-                    results[m] = None
-                    acc = _multiply_into(acc, message.reshape(len(message), *shape))
-                results.append(None if axis is None else acc.sum(axis=axis))
-            out[rows[start : start + step]] = acc.transpose(final)
+            idx = rows[start : start + step]
+            acc, _ = _upward(plan, records[idx], sets[idx])
+            out[idx] = acc.transpose(final)
     return out
+
+
+def _plan(
+    network: FittedNetwork, params: Mapping[str, np.ndarray], free: set[str], query: Sequence[str], max_states: int
+) -> tuple[list, int, list]:
+    """_elimination_steps for records that leave the variables of free
+    unobserved, over the families that hold one of them, and per step the
+    (flat stack, free-state offsets, observed strides, set size) of each
+    factor it gathers, its messages and its axis: what _upward runs. Also
+    returns the largest step size."""
+    schema = network.schema
+    card = {n: schema.cardinality(n) for n in network.dag.nodes}
+    families = []  # (node, unobserved scope, strides by variable)
+    for node in network.dag.nodes:
+        scope = network.cpts[node].parent_order + (node,)
+        if free.isdisjoint(scope):
+            continue
+        strides = dict(zip(scope, [s * card[node] for s in _config_strides(schema, scope[:-1])] + [1]))
+        families.append((node, tuple(v for v in scope if v in free), strides))
+    steps, width = _elimination_steps([hidden for _, hidden, _ in families], card, query, max_states)
+    plan = []
+    for labels, factors, messages, axis in steps:
+        gathers = []
+        for node, hidden, strides in (families[i] for i in factors):
+            offsets = sum(
+                np.reshape(np.arange(card[u]) * strides[u], [-1 if w == u else 1 for w in labels]) for u in hidden
+            )
+            fixed = {schema.index(u): s for u, s in strides.items() if u not in free}
+            gathers.append((np.reshape(params[node], -1), offsets, fixed, params[node][0].size))
+        plan.append((gathers, messages, axis))
+    return steps, width, plan
+
+
+def _upward(plan: list, block: np.ndarray, block_sets: np.ndarray, products: list | None = None) -> tuple:
+    """Run a _plan on a block of records: the last step's product and each
+    step's message (None for the last step). Without products each message
+    is dropped once used. With products, a list, each step's product over
+    its labels (before its variable is summed out) is appended to it and
+    every message is kept: the upward pass of a calibration."""
+    results = []
+    for gathers, messages, axis in plan:
+        acc = None
+        for table, offsets, fixed, size in gathers:
+            base = sum(block[:, col] * stride for col, stride in fixed.items()) + block_sets * size
+            acc = _multiply_into(acc, table[np.reshape(base, (-1,) + (1,) * offsets.ndim) + offsets])
+        for m, shape in messages:
+            message = results[m].reshape(len(block), *shape)
+            if products is None:
+                results[m] = None
+            elif acc is None:
+                message = message.copy()  # the product is multiplied in place; a kept message may not be
+            acc = _multiply_into(acc, message)
+        if products is not None:
+            products.append(acc)
+        results.append(None if axis is None else acc.sum(axis=axis))
+    return acc, results
 
 
 def _multiply_into(acc: np.ndarray | None, factor: np.ndarray) -> np.ndarray:
@@ -581,22 +612,74 @@ def sensitivity(
     return mutual_information(joint_marginal(network, {}, (target, predictor), max_states=max_states))
 
 
+def target_pair_marginals(
+    network: FittedNetwork, target: str, max_states: int = DEFAULT_ENUMERATION_CAP
+) -> dict[str, np.ndarray]:
+    """p(target, X) at posterior-mean parameters for every other node X:
+    shape (target states, X states), summing to 1. One calibration gives
+    them all (Koller & Friedman 2009, §10.2-10.4; Lauritzen & Spiegelhalter
+    1988).
+
+    The target is observed at each of its states, one record per state, and
+    every other node is eliminated along one plan. The upward pass is
+    eliminate's, keeping each step's product and message. The downward pass
+    runs from the last step back. Each step's product is multiplied by what
+    the step that consumed its message knows from the rest of the network:
+    that step's calibrated product, summed onto the message's labels and
+    divided by the message. The result is the joint of the record's target
+    state with the step's labels; summed onto the step's variable, it is
+    that variable's pair marginal. Only the target is observed, so every
+    message is a sum of probabilities and cannot underflow. The only fully
+    observed family, the target's own when it has no parents, weights each
+    record.
+    """
+    if target not in network.dag.nodes:
+        raise GraphError(f"unknown target {target!r}")
+    schema = network.schema
+    card = {n: schema.cardinality(n) for n in network.dag.nodes}
+    others = [n for n in network.dag.nodes if n != target]
+    if not others:
+        return {}
+    records = np.full((card[target], len(schema.names)), -1, dtype=np.int64)
+    records[:, schema.index(target)] = np.arange(card[target])
+    mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
+    weight = mean[target][0, 0] if not network.cpts[target].parent_order else np.ones(card[target])
+    steps, _, plan = _plan(network, mean, set(others), (), max_states)
+    consumer = {m: j for j, (_, _, messages, _) in enumerate(steps) for m, _ in messages}
+    # the calibration keeps every step's product: a block of records holds
+    # at most _BLOCK_CELLS cells of them, or one record
+    cost = sum(math.prod(card[u] for u in labels) for labels, *_ in steps)
+    step = max(1, _BLOCK_CELLS // cost)
+    pairs = {}
+    for start in range(0, len(records), step):
+        block = records[start : start + step]
+        products: list = []
+        _, messages = _upward(plan, block, np.zeros(len(block), dtype=np.int64), products)
+        for i in reversed(range(len(steps) - 1)):
+            labels, _, _, axis = steps[i]
+            above = steps[consumer[i]][0]
+            lacking = tuple(1 + a for a, u in enumerate(above) if u not in labels)
+            products[i] *= np.expand_dims(products[consumer[i]].sum(axis=lacking) / messages[i], axis)
+            v = labels[axis - 1]
+            marginal = products[i].sum(axis=tuple(a for a in range(1, len(labels) + 1) if a != axis))
+            pairs.setdefault(v, []).append(marginal * weight[start : start + step, None])
+    joints = {v: np.concatenate(pairs[v]) for v in others}
+    return {v: joint / joint.sum() for v, joint in joints.items()}
+
+
 def sensitivity_report(
     network: FittedNetwork, target: str, max_states: int = DEFAULT_ENUMERATION_CAP
 ) -> list[tuple[str, float]]:
-    """Per-predictor sensitivity scores sorted by decreasing score.
+    """Per-predictor sensitivity scores sorted by decreasing score: the
+    mutual information of each target_pair_marginals entry, the same score
+    as sensitivity's per-pair query, all from one calibration.
 
     Scores are rounded to 12 decimals, so that scores equal up to rounding
     noise (such as those of predictors d-separated from the target) tie
     exactly and are listed in label order.
     """
-    if target not in network.dag.nodes:
-        raise GraphError(f"unknown target {target!r}")
-    scores = [
-        (node, round(sensitivity(network, target, node, max_states), 12))
-        for node in network.dag.nodes
-        if node != target
-    ]
+    pairs = target_pair_marginals(network, target, max_states)
+    scores = [(node, round(mutual_information(joint), 12)) for node, joint in pairs.items()]
     scores.sort(key=lambda kv: (-kv[1], kv[0]))
     return scores
 

@@ -168,16 +168,20 @@ def _learn_candidates(cfg: PipelineConfig, data: Dataset) -> list[structlearn.Ca
 def cmd_learn(cfg: PipelineConfig) -> None:
     data = _selected_data(cfg, _load_data(cfg))
     out = _out(cfg)
-    structures = _make_dir(out / "structures")
     candidates = _learn_candidates(cfg, data)
     target = data.schema.target
     counted: dict = {}  # family tables, shared by the candidates
+    reports = [
+        bayesnet.sensitivity_report(bayesnet.fit_conjugate(cand.dag, data, cfg.alpha0, counted), target)
+        for cand in candidates
+    ]
+    # every candidate succeeded: write them all, then remove the outputs of
+    # an earlier run's other candidates
+    structures = _make_dir(out / "structures")
     written = set()
-    for cand in candidates:
+    for cand, report in zip(candidates, reports):
         structure = structures / f"{cand.label}.structure"
         bayesnet.write_structure(cand.dag, structure)
-        network = bayesnet.fit_conjugate(cand.dag, data, cfg.alpha0, counted)
-        report = bayesnet.sensitivity_report(network, target)
         sensitivity = out / f"sensitivity_{cand.label}.csv"
         with open(sensitivity, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -185,7 +189,6 @@ def cmd_learn(cfg: PipelineConfig) -> None:
             for name, score in report:
                 writer.writerow([name, repr(score)])
         written.update([structure, sensitivity])
-    # every candidate succeeded: outputs of an earlier run's other candidates go
     for stale in [*structures.glob("*.structure"), *out.glob("sensitivity_*.csv")]:
         if stale not in written:
             stale.unlink()
@@ -289,22 +292,24 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
     split = make_split(
         data.n_records, cfg.test_fraction, cfg.fold_count, cfg.fold_fraction, cfg.seed
     )
-    write_split_plan(split, out / "split_plan.csv")
     summary, preds, network = evaluation.final_evaluation(
         best, data, split, alpha0=cfg.alpha0, literal_rmse=cfg.literal_rmse
     )
     target = data.schema.target
-    bayesnet.write_fitted_network(network, out / "fitted_network.csv")
-    mcmc.write_predictions(preds, data.schema.spec(target), out / "predictions.csv")
-    evaluation.write_final_metrics(summary, out / "final_metrics.csv")
-
     monitor = list(cfg.monitor) if cfg.monitor else [target]
     unknown = [n for n in monitor if n not in network.cpts]
     if unknown:
         raise ConfigError(f"monitor names {unknown} are not nodes of the chosen structure")
     draws = mcmc.sample_parameters(network, cfg.mcmc_config(), monitor)
-    mcmc.export_traces(draws, {n: network.cpts[n].posterior for n in draws}, _make_dir(out / "traces"))
     rhat = mcmc.gelman_rubin(draws)
+    # every check that can fail without writing has passed; an r-hat over
+    # the threshold still writes everything, then fails
+    traces = _make_dir(out / "traces")
+    write_split_plan(split, out / "split_plan.csv")
+    bayesnet.write_fitted_network(network, out / "fitted_network.csv")
+    mcmc.write_predictions(preds, data.schema.spec(target), out / "predictions.csv")
+    evaluation.write_final_metrics(summary, out / "final_metrics.csv")
+    mcmc.export_traces(draws, {n: network.cpts[n].posterior for n in draws}, traces)
     with open(out / "rhat.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["parameter", "r_hat"])

@@ -25,6 +25,7 @@ from bnpipeline.bayesnet import (
     sensitivity,
     sensitivity_report,
     subtract_counts,
+    target_pair_marginals,
     topological_sort,
     write_fitted_network,
     write_structure,
@@ -404,6 +405,18 @@ def deterministic_link_network(hit=1.0):
     return FittedNetwork(dag, schema, {"A": cpt_a, "B": cpt_b})
 
 
+def connected(dag, node):
+    """The nodes of node's component of the skeleton of dag."""
+    reach, todo = {node}, [node]
+    while todo:
+        u = todo.pop()
+        for v in dag.parents(u) + dag.children(u):
+            if v not in reach:
+                reach.add(v)
+                todo.append(v)
+    return reach
+
+
 class TestSensitivity:
     def test_disconnected_components_zero(self):
         schema = make_schema([2, 2])
@@ -419,6 +432,7 @@ class TestSensitivity:
 
     def test_matches_enumerated_joint_oracle(self):
         rng = np.random.default_rng(9)
+        seen = {"target with parents": 0, "other component": 0}
         for _ in range(10):
             net = random_network(rng, max_nodes=4)
             names = list(net.dag.nodes)
@@ -445,6 +459,53 @@ class TestSensitivity:
             assert got <= min(entropy(joint.sum(axis=1)), entropy(joint.sum(axis=0))) + 1e-9
             # the score is exactly the network-implied mutual information
             assert got == pytest.approx(mutual_information(joint * 1e6), abs=1e-6)
+            # every predictor of one report, for every target: targets with
+            # parents, and predictors in other components than the target's
+            full = full_joint(net)
+            full /= full.sum()
+            for t in names:
+                report = dict(sensitivity_report(net, t))
+                assert sorted(report) == sorted(set(names) - {t})
+                seen["target with parents"] += bool(net.dag.parents(t))
+                for v in report:
+                    it, iv = names.index(t), names.index(v)
+                    pair = full.sum(axis=tuple(i for i in range(len(names)) if i not in (it, iv)))
+                    want = pair if it < iv else pair.T
+                    assert report[v] == pytest.approx(mutual_information(want), abs=1e-9)
+                    seen["other component"] += v not in connected(net.dag, t)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("block_cells", [bayesnet._BLOCK_CELLS, 1])
+    def test_pair_marginals_equal_the_per_pair_queries(self, monkeypatch, block_cells):
+        # with one cell a block, each target state is calibrated on its own
+        monkeypatch.setattr(bayesnet, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            net = random_network(rng)
+            for t in net.dag.nodes:
+                pairs = target_pair_marginals(net, t)
+                assert list(pairs) == [v for v in net.dag.nodes if v != t]
+                for v, joint in pairs.items():
+                    assert np.allclose(joint, joint_marginal(net, {}, (t, v)), rtol=0, atol=1e-15)
+
+    def test_one_report_plans_one_elimination(self, monkeypatch):
+        calls = []
+        plan = bayesnet._elimination_steps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(bayesnet, "_elimination_steps", counted)
+        rng = np.random.default_rng(11)
+        cards = [int(rng.integers(2, 4)) for _ in range(10)]
+        schema = make_schema(cards)
+        names = schema.names
+        dag = Dag(names, tuple((names[i], names[j]) for j in range(1, 10) for i in range(j) if rng.random() < 0.3))
+        data = Dataset(schema, np.column_stack([rng.integers(0, r, size=50) for r in cards]))
+        report = sensitivity_report(fit_conjugate(dag, data), names[3])
+        assert len(report) == 9
+        assert len(calls) == 1
 
     def test_report_sorted_and_complete(self):
         rng = np.random.default_rng(3)

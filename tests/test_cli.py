@@ -402,6 +402,11 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("diagnostic failure: parameter ")
         assert err[0].endswith(" has zero within-chain variance")
+        # the chain is checked before anything is written
+        out = workspace / "out"
+        for name in ("split_plan.csv", "fitted_network.csv", "predictions.csv", "final_metrics.csv", "rhat.csv"):
+            assert not (out / name).exists()
+        assert not (out / "traces").exists()
 
     def test_bad_hist_bins_is_2(self, workspace):
         cfg = (workspace / "pipeline.ini").read_text().replace(
@@ -418,6 +423,11 @@ class TestExitCodes:
         for cmd in ("select", "learn", "compare", "cv"):
             assert run(cmd, "--config", "monitor.ini") == 0
         assert run("fit-predict", "--config", "monitor.ini") == 2
+        # the monitor list is checked before anything is written
+        out = workspace / "out"
+        for name in ("fitted_network.csv", "predictions.csv", "final_metrics.csv", "rhat.csv"):
+            assert not (out / name).exists()
+        assert not (out / "traces").exists()
 
     def test_target_mismatch_is_2(self, workspace):
         cfg = (workspace / "pipeline.ini").read_text().replace(
@@ -441,7 +451,13 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:")
 
     def test_inference_over_the_cap_is_3(self, workspace, monkeypatch, capsys):
+        # the third candidate's report is over the cap, after two succeeded
+        report, calls = bayesnet.sensitivity_report, []
+
         def too_large(*args, **kwargs):
+            calls.append(args)
+            if len(calls) < 3:
+                return report(*args, **kwargs)
             raise bayesnet.EnumerationTooLarge("cost over the cap")
 
         monkeypatch.setattr(bayesnet, "sensitivity_report", too_large)
@@ -449,6 +465,10 @@ class TestExitCodes:
         assert run("learn", "--config", "pipeline.ini") == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: cost over the cap"]
+        # learn is all or nothing: no candidate's files were written
+        assert len(calls) == 3
+        assert not list((workspace / "out" / "structures").glob("*.structure"))
+        assert not list((workspace / "out").glob("sensitivity_*.csv"))
 
     @pytest.mark.parametrize("constraints", [
         "require P -> Q\nforbid P -> Q\n",
