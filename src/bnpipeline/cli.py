@@ -22,7 +22,9 @@ from pathlib import Path
 
 from . import bayesnet, evaluation, infotheory, mcmc, modelselect, structlearn
 from .config import ConfigError, PipelineConfig, load_config, write_effective_config
-from .dataset import DataError, Dataset, content_lines, load_dataset, make_split, read_schema, write_split_plan
+from .dataset import (
+    DataError, Dataset, content_lines, load_dataset, make_split, read_schema, store_counts, write_split_plan,
+)
 
 
 class DiagnosticFailure(Exception):
@@ -45,7 +47,7 @@ def _load_data(cfg: PipelineConfig) -> Dataset:
     """The configured dataset under its schema, read through the records
     cache in the output directory (load_dataset), which this creates: the
     first phase of a run parses the CSV and the later ones load its
-    records."""
+    records, and the tables select counted."""
     schema = read_schema(cfg.schema_path)
     if cfg.target is not None and schema.target != cfg.target:
         raise ConfigError(
@@ -78,6 +80,7 @@ def cmd_select(cfg: PipelineConfig) -> None:
         raise ConfigError(f"[selection] keep names {unknown}, which are not schema variables")
     out = _out(cfg)
     pairwise, triple, delta = infotheory.build_score_tables(data)
+    store_counts(data, out)  # every later phase starts with these tables counted
     infotheory.write_score_table(pairwise, out / "score_mi.csv")
     infotheory.write_score_table(triple, out / "score_cmi.csv")
     infotheory.write_score_table(delta, out / "score_delta.csv")
@@ -329,14 +332,14 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
 
 def _md_table(path: Path, max_rows: int = 10) -> list[str]:
     """Markdown table of a CSV's header and first max_rows records, then a
-    count of the records left out, which are parsed but not kept."""
+    count of the records left out (_rows_left), which are not kept."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             return []
         body = list(itertools.islice(reader, max_rows))
-        more = sum(1 for _ in reader)
+        more = _rows_left(fh, path, 1 + len(body))
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for row in body:
         lines.append("| " + " | ".join(row) + " |")
@@ -344,6 +347,21 @@ def _md_table(path: Path, max_rows: int = 10) -> list[str]:
         filler = [f"... ({more} more rows)"] + [""] * (len(header) - 1)
         lines.append("| " + " | ".join(filler) + " |")
     return lines
+
+
+def _rows_left(fh, path: Path, read: int) -> int:
+    """The records csv.reader would still give from fh, after the first
+    read records of path. While the rest holds no quote, CR or NUL, each
+    record is one line, so they are its LF count, plus an unterminated last
+    line; otherwise csv.reader counts them again from the start of path."""
+    lines, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(1 << 20), ""):
+        if '"' in chunk or "\r" in chunk or "\0" in chunk:
+            with open(path, newline="", encoding="utf-8") as again:
+                return sum(1 for _ in itertools.islice(csv.reader(again), read, None))
+        lines += chunk.count("\n")
+        last = chunk[-1]
+    return lines + (last != "\n")
 
 
 def cmd_report(cfg: PipelineConfig) -> None:

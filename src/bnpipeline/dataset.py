@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 import tokenize
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -124,10 +126,43 @@ class Schema:
         return Schema(tuple(v for v in self.variables if v.name in keep))
 
 
+class _TableMemo:
+    """The count tables contingency_table kept for one set of rows, keyed by
+    the set of their variable names, each with the name order it was first
+    counted in, in the order kept. It holds at most limit cells; a table
+    that would pass the bound is not kept. schema names the variables of
+    the file store_counts writes, and key is that file's records key, set
+    by load_dataset (None: nothing to store)."""
+
+    def __init__(self, schema: Schema, limit: int):
+        self.schema, self.limit, self.cells = schema, limit, 0
+        self.key: str | None = None
+        self.tables: dict[frozenset[str], tuple[tuple[str, ...], np.ndarray]] = {}
+
+    def get(self, names: Sequence[str]) -> np.ndarray | None:
+        kept = self.tables.get(frozenset(names))
+        if kept is None:
+            return None
+        order, table = kept
+        return table.transpose([order.index(n) for n in names]).copy()
+
+    def keep(self, names: Sequence[str], table: np.ndarray) -> None:
+        if self.cells + table.size <= self.limit:
+            kept = table.astype(np.int64)  # a copy, which no caller holds
+            kept.setflags(write=False)
+            self.tables[frozenset(names)] = (tuple(names), kept)
+            self.cells += table.size
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Complete categorical records stored as state indices (n rows x m
-    variables), column-major so that each variable's column is contiguous."""
+    variables), column-major so that each variable's column is contiguous.
+
+    Each Dataset keeps the tables contingency_table counts on it without
+    groups, up to as many cells as its records matrix holds (records x
+    variables). select_variables shares them, since its rows are the same;
+    subset and every new Dataset start with none."""
 
     schema: Schema
     records: np.ndarray
@@ -144,6 +179,7 @@ class Dataset:
             if col.size and (col.min() < 0 or col.max() >= spec.cardinality):
                 raise DataError(f"out-of-range state index in column {spec.name!r}")
         object.__setattr__(self, "records", rec)
+        object.__setattr__(self, "_memo", _TableMemo(self.schema, rec.size))
         self.records.setflags(write=False)
 
     @property
@@ -161,7 +197,9 @@ class Dataset:
     def select_variables(self, names: Sequence[str]) -> "Dataset":
         sub = self.schema.restrict(names)
         cols = [self.schema.index(v.name) for v in sub.variables]
-        return Dataset(sub, self.records.T[cols].T)
+        picked = Dataset(sub, self.records.T[cols].T)
+        object.__setattr__(picked, "_memo", self._memo)
+        return picked
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -201,7 +239,25 @@ def contingency_table(data: Dataset, names: Sequence[str], groups: np.ndarray | 
     last varying fastest, accumulated one contiguous column at a time. With
     groups, a non-negative index for each record, the tables of groups 0 up
     to the largest index are counted in the same pass, stacked along a
-    leading axis."""
+    leading axis.
+
+    Without groups, a table over distinct names is kept on data while the
+    cells bound of Dataset allows, and a later request for the same
+    variables, in any order, is served from it: a new C-contiguous int64
+    array, equal to a fresh count. So a phase counts a kept table once, and
+    none of the tables the run's select stored (store_counts), which
+    load_dataset gives every later phase."""
+    if groups is not None or len(set(names)) != len(names):
+        return _count(data, names, groups)
+    table = data._memo.get(names)
+    if table is None:
+        table = _count(data, names)
+        data._memo.keep(names, table)
+    return table
+
+
+def _count(data: Dataset, names: Sequence[str], groups: np.ndarray | None = None) -> np.ndarray:
+    """One counting pass over the records: contingency_table's count."""
     shape = tuple(data.schema.cardinality(n) for n in names)
     columns = [data.records[:, data.schema.index(n)] for n in names]
     if groups is not None:
@@ -376,30 +432,52 @@ def load_dataset(
     """ingest_csv's Dataset of a CSV, parsed once per input: its records
     are kept in out_dir as records-<_records_key>-<SHA-256 of the array's
     data bytes>.npy, in the smallest unsigned dtype that holds the schema's
-    largest state index.
+    largest state index. Its count tables start as those of
+    out_dir/counts-<same key>-<digest>.npz (store_counts), if one is usable.
 
-    A file of the key is mapped read-only as an npy array, which holds no
-    pickles and allocates nothing for a header that claims more rows than
-    the file has, and Dataset checks its shape and range. A file that cannot
-    be read, is not exactly header plus array, or has the wrong dtype,
-    layout, shape, a state out of range or data that do not hash to its name
-    counts as absent. When it is absent, ingest_csv parses the CSV, with all
-    its errors and its warning about columns not in the schema, which so
-    shows only on a parse. The records are then written under a temporary
-    name, flushed to disk and renamed into place, and every other
+    A records file of the key is mapped read-only as an npy array, which
+    holds no pickles and allocates nothing for a header that claims more
+    rows than the file has, and Dataset checks its shape and range. A file
+    that cannot be read, is not exactly header plus array, or has the wrong
+    dtype, layout, shape, a state out of range or data that do not hash to
+    its name counts as absent. When it is absent, ingest_csv parses the CSV,
+    with all its errors and its warning about columns not in the schema,
+    which so shows only on a parse. The records are then written under a
+    temporary name, flushed to disk and renamed into place, and every other
     records-*.npy in out_dir is removed. A file that cannot be written is
     skipped: it only saves a later call the parse. Editing the CSV or the
     schema changes the name, and deleting the file costs one parse.
+
+    A counts file counts as absent, and its tables are counted again when
+    asked for, if it cannot be read, is not the two stored npy arrays of
+    store_counts, has the wrong dtype or shape, names a variable out of
+    range or a set of variables twice, holds more cells than the records
+    matrix, fails its digest, or holds a table whose cells do not sum to the
+    number of records.
     """
     out_dir = Path(out_dir)
     key = _records_key(path, schema, options)
-    named = lambda records: out_dir / f"records-{key}-{hashlib.sha256(records.ravel(order='F')).hexdigest()}.npy"
+    data = _cached_records(path, schema, out_dir, options, key)
+    data._memo.key = key
+    for cached in out_dir.glob(f"counts-{key}-*.npz"):
+        try:
+            tables = _read_counts(cached, data)
+        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, tokenize.TokenError):
+            continue  # absent, or not a file store_counts wrote: count again
+        for names, table in tables:
+            data._memo.keep(names, table)
+        break
+    return data
+
+
+def _cached_records(path: str | Path, schema: Schema, out_dir: Path, options: CsvOptions | None, key: str) -> Dataset:
+    named = lambda records: f"records-{key}-{hashlib.sha256(records.ravel(order='F')).hexdigest()}.npy"
     dtype = np.min_scalar_type(max(v.cardinality for v in schema.variables) - 1)
     for cached in out_dir.glob(f"records-{key}-*.npy"):
         try:
             records = np.lib.format.open_memmap(cached, mode="r")
             whole = records.offset + records.nbytes == os.path.getsize(cached)
-            if whole and records.dtype == dtype and records.flags.f_contiguous and named(records) == cached:
+            if whole and records.dtype == dtype and records.flags.f_contiguous and named(records) == cached.name:
                 return Dataset(schema, records)
         except (OSError, ValueError, EOFError, tokenize.TokenError, DataError):
             # absent, or not a file this function wrote (numpy's npy header
@@ -407,20 +485,125 @@ def load_dataset(
             pass
     data = ingest_csv(path, schema, options)
     stored = data.records.astype(dtype, order="F")
-    cached = named(stored)
-    temporary = out_dir / f".{cached.name}.{os.getpid()}.tmp"
+    _replace_file(out_dir, named(stored), lambda fh: np.save(fh, stored), "records-*.npy")
+    return data
+
+
+def _replace_file(out_dir: Path, name: str, write, stale: str) -> None:
+    """Write out_dir/name through write(binary file) under a temporary
+    name, flush it to disk, rename it into place and remove every other
+    file of out_dir that matches the glob stale. A file that cannot be
+    written is skipped: a cache file only saves later work."""
+    final, temporary = out_dir / name, out_dir / f".{name}.{os.getpid()}.tmp"
     try:
         with open(temporary, "wb") as fh:
-            np.save(fh, stored)
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(temporary, cached)
-        for stale in out_dir.glob("records-*.npy"):
-            if stale != cached:
-                stale.unlink()
+        os.replace(temporary, final)
+        for old in out_dir.glob(stale):
+            if old != final:
+                old.unlink()
     except OSError:
         temporary.unlink(missing_ok=True)
-    return data
+
+
+# ---------------------------------------------------------------------------
+# count-table cache
+# ---------------------------------------------------------------------------
+
+_COUNTS_MEMBERS = ("variables.npy", "counts.npy")
+
+
+def _counts_name(key: str, variables: np.ndarray, counts: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for part in (variables.tobytes(), counts.tobytes()):
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return f"counts-{key}-{digest.hexdigest()}.npz"
+
+
+def store_counts(data: Dataset, out_dir: str | Path) -> None:
+    """Write the tables kept on data (contingency_table) to out_dir as
+    counts-<records key>-<SHA-256 of its arrays>.npz, from which
+    load_dataset starts the tables of every later Dataset of the same
+    records. The npz holds two npy arrays and no pickles: variables, one
+    int64 row per table of the schema indices of its axes, padded with -1,
+    and counts, every table's cells in C order one after another, in the
+    smallest unsigned dtype that holds the number of records. Its entries
+    carry a fixed date, so that equal tables give equal bytes. The file is
+    written like the records file, and every other counts-*.npz in out_dir
+    is removed. Only a Dataset of load_dataset has a records key; for any
+    other, nothing is written."""
+    memo = data._memo
+    if memo.key is None:
+        return
+    kept = list(memo.tables.values())
+    variables = np.full((len(kept), max((len(names) for names, _ in kept), default=0)), -1, dtype=np.int64)
+    for row, (names, _) in zip(variables, kept):
+        row[: len(names)] = [memo.schema.index(n) for n in names]
+    counts = np.empty(memo.cells, dtype=np.min_scalar_type(data.n_records))
+    np.concatenate([table.ravel() for _, table in kept] + [counts[:0]], out=counts, casting="unsafe")
+
+    def write(fh) -> None:
+        with zipfile.ZipFile(fh, "w") as archive:
+            for name, array in zip(_COUNTS_MEMBERS, (variables, counts)):
+                member = io.BytesIO()
+                np.lib.format.write_array(member, array, version=(1, 0), allow_pickle=False)
+                info = zipfile.ZipInfo(name)  # dated 1980-01-01, stored uncompressed
+                info.external_attr = 0o644 << 16
+                archive.writestr(info, member.getvalue())
+
+    _replace_file(Path(out_dir), _counts_name(memo.key, variables, counts), write, "counts-*.npz")
+
+
+def _read_counts(path: Path, data: Dataset) -> list[tuple[tuple[str, ...], np.ndarray]]:
+    """The (names, table) pairs of a counts file store_counts wrote for
+    data's records, in stored order, each table a view of the file's
+    counts; ValueError if it is not such a file."""
+    with zipfile.ZipFile(path) as archive:
+        if archive.namelist() != list(_COUNTS_MEMBERS):
+            raise ValueError("not a counts file")
+        variables, counts = (_stored_npy(archive, name) for name in _COUNTS_MEMBERS)
+    memo, n = data._memo, data.n_records
+    if variables.dtype != np.int64 or variables.ndim != 2 or counts.dtype != np.min_scalar_type(n) or counts.ndim != 1:
+        raise ValueError("wrong dtype or shape")
+    if counts.size > memo.limit or _counts_name(memo.key, variables, counts) != path.name:
+        raise ValueError("over the cells bound, or data that do not hash to the name")
+    schema = memo.schema
+    width = (variables != -1).sum(axis=1)
+    padding = np.arange(variables.shape[1]) >= width[:, None]
+    if np.any(width == 0) or np.any((variables == -1) != padding) or np.any(variables < -1) or np.any(variables >= len(schema.names)):
+        raise ValueError("a row that names no variable, or one out of range")
+    card = np.array([v.cardinality for v in schema.variables] + [1])
+    sizes = card[variables].prod(axis=1)  # the -1 padding picks the trailing 1
+    starts = np.cumsum(sizes) - sizes
+    if sizes.sum() != counts.size or np.any(np.add.reduceat(counts, starts, dtype=np.uint64) != n):
+        raise ValueError("cells that belong to no table, or a table that does not count every record")
+    names_of, cards = schema.names, card.tolist()
+    tables = []
+    for row, start, size in zip(variables.tolist(), starts.tolist(), sizes.tolist()):
+        index = row[: row.index(-1)] if -1 in row else row
+        tables.append((tuple(names_of[i] for i in index), counts[start : start + size].reshape([cards[i] for i in index])))
+    if len({frozenset(names) for names, _ in tables}) != len(tables) or any(len(set(names)) != len(names) for names, _ in tables):
+        raise ValueError("a set of variables named twice")
+    return tables
+
+
+def _stored_npy(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """An uncompressed version-1.0 npy entry of archive, read only after its
+    header and size agree, so that a damaged header allocates nothing."""
+    info = archive.getinfo(name)
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError("compressed entry")
+    raw = archive.read(info)  # checks the entry's CRC
+    stream = io.BytesIO(raw)
+    if np.lib.format.read_magic(stream) != (1, 0):
+        raise ValueError("not an npy 1.0 entry")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    if fortran_order or dtype.hasobject or stream.tell() + math.prod(shape) * dtype.itemsize != len(raw):
+        raise ValueError("not exactly header plus array")
+    return np.frombuffer(raw, dtype, offset=stream.tell()).reshape(shape)
 
 
 _QUOTE, _LF, _CR = ord('"'), ord("\n"), ord("\r")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayesnet import FittedNetwork, fit_conjugate, posterior_marginal, subtract_counts
+from .bayesnet import Cpt, Dag, FittedNetwork, family_counts, fit_conjugate, posterior_marginal, subtract_counts
 from .dataset import Dataset, SplitPlan, numeric_state_values
 from .mcmc import PosteriorPredictive, predictions
 from .structlearn import CandidateModel
@@ -101,6 +101,20 @@ class CvResult:
     best: str
 
 
+def _training_fit(dag: Dag, data: Dataset, test: Dataset, alpha0: float, counted: dict | None = None) -> FittedNetwork:
+    """fit_conjugate of dag on the rows of data outside test, a subset of
+    them (the training rows of a split): each family's table on data, which
+    a run counts once (dataset.contingency_table), less its table on test.
+    Counts are exact integers, so this equals a fit on those rows bit for
+    bit, without copying them."""
+    network = fit_conjugate(dag, data, alpha0, counted)
+    cpts = {
+        node: Cpt(node, cpt.parent_order, cpt.alpha, cpt.counts - family_counts(test, node, cpt.parent_order))
+        for node, cpt in network.cpts.items()
+    }
+    return FittedNetwork(network.dag, network.schema, cpts)
+
+
 def cross_validate(
     candidates: Sequence[CandidateModel],
     data: Dataset,
@@ -110,17 +124,17 @@ def cross_validate(
 ) -> CvResult:
     """Fit every candidate on train-minus-fold and score it on each fold.
 
-    Each candidate is fitted once on the training split, and a family that
-    several candidates share is counted once. Its network for a fold is that
-    fit minus the fold's own family counts, which equals a refit on
-    train-minus-fold because counts are additive. Per candidate, one
-    subtract_counts call counts the held-out rows of every fold in one pass
-    per family, with a leading fold axis, and one posterior_marginal call
-    scores the rows of every fold, each under its own fold's counts. Each
-    fold's metrics come from its own rows, and fold_metrics lists the
-    (fold, candidate) pairs fold by fold. The winner is the model with the
-    smallest average RMSE over folds (ties go to the lexicographically
-    first label).
+    Each candidate is fitted once on the training split (_training_fit),
+    and a family that several candidates share is counted once. Its
+    network for a fold is that fit minus the fold's own family counts,
+    which equals a refit on train-minus-fold because counts are additive.
+    Per candidate, one subtract_counts call counts the held-out rows of
+    every fold in one pass per family, with a leading fold axis, and one
+    posterior_marginal call scores the rows of every fold, each under its
+    own fold's counts. Each fold's metrics come from its own rows, and
+    fold_metrics lists the (fold, candidate) pairs fold by fold. The winner
+    is the model with the smallest average RMSE over folds (ties go to the
+    lexicographically first label).
     """
     if not candidates:
         raise ValueError("no candidate models")
@@ -129,9 +143,9 @@ def cross_validate(
         raise ValueError(f"duplicate candidate labels: {labels}")
     target = data.schema.target
     values = np.asarray(numeric_state_values(data.schema.spec(target)))
-    train_data = data.subset(split.train_idx)
-    counted: dict = {}  # family tables on the training rows, shared by the candidates
-    fitted = [fit_conjugate(cand.dag, train_data, alpha0, counted) for cand in candidates]
+    test = data.subset(split.test_idx)
+    counted: dict = {}  # family tables on all rows, shared by the candidates
+    fitted = [_training_fit(cand.dag, data, test, alpha0, counted) for cand in candidates]
 
     sizes = [fold.size for fold in split.folds]
     held_out = data.subset(np.concatenate(split.folds))
@@ -165,14 +179,15 @@ def final_evaluation(
     alpha0: float = 1.0,
     literal_rmse: bool = False,
 ) -> tuple[Metrics, list[PosteriorPredictive], FittedNetwork]:
-    """Retrain on the full training split and score the held-out test set."""
+    """Retrain on the full training split (_training_fit) and score the
+    held-out test set."""
     target = data.schema.target
     spec = data.schema.spec(target)
     values = np.asarray(numeric_state_values(spec))
-    network = fit_conjugate(best.dag, data.subset(split.train_idx), alpha0)
-    records = data.records[split.test_idx]
-    truths = records[:, data.schema.index(target)]
-    probs = posterior_marginal(network, records, (target,))
+    test = data.subset(split.test_idx)
+    network = _training_fit(best.dag, data, test, alpha0)
+    truths = test.column(target)
+    probs = posterior_marginal(network, test.records, (target,))
     summary = metrics(values[probs.argmax(axis=1)], values[truths], literal_rmse=literal_rmse)
     return summary, predictions(probs, spec, truths), network
 

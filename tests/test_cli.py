@@ -94,6 +94,38 @@ def run(*args):
     return main(list(args))
 
 
+PHASES = ("select", "learn", "compare", "cv", "fit-predict", "report")
+
+
+def stored_sets(cached, schema_path):
+    """The variable sets of the tables in a counts file."""
+    names = dataset.read_schema(schema_path).names
+    with np.load(cached, allow_pickle=False) as arrays:
+        return {frozenset(names[i] for i in row if i >= 0) for row in arrays["variables"].tolist()}
+
+
+def record_counting(monkeypatch):
+    """(counted, served): the variable sets of each counting pass over a
+    whole dataset of the tiny problem, and of each table served kept."""
+    counted, served = [], []
+    count, get = dataset._count, dataset._TableMemo.get
+
+    def counting(data, names, groups=None):
+        if groups is None and data.n_records == 240:
+            counted.append(frozenset(names))
+        return count(data, names, groups)
+
+    def serving(memo, names):
+        table = get(memo, names)
+        if table is not None:
+            served.append(frozenset(names))
+        return table
+
+    monkeypatch.setattr(dataset, "_count", counting)
+    monkeypatch.setattr(dataset._TableMemo, "get", serving)
+    return counted, served
+
+
 class TestConfigFile:
     def test_round_trip(self, workspace):
         cfg = load_config("pipeline.ini")
@@ -314,6 +346,77 @@ class TestPipelinePhases:
         cached.write_bytes(good[:-7])
         assert run("learn", "--config", "pipeline.ini") == 0
         assert cached.read_bytes() == good
+
+    def test_counts_cache_changes_no_output(self, tmp_path, monkeypatch):
+        # the six demo phases with the counts file deleted before each, then
+        # with it kept: the same bytes, and select's file in both
+        monkeypatch.chdir(DEMO.parent)
+        out = tmp_path / "out"
+        runs = []
+        for keep in (False, True):
+            shutil.rmtree(out, ignore_errors=True)
+            for cmd in PHASES:
+                if not keep:
+                    for cached in out.glob("counts-*.npz"):
+                        cached.unlink()
+                assert run(cmd, "--config", "data/pipeline.ini", "--out", str(out)) == 0
+            runs.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        deleted, kept = runs
+        stored = [name for name in kept if name.startswith("counts-")]
+        assert len(stored) == 1 and not any(name.startswith("counts-") for name in deleted)
+        del kept[stored[0]]
+        assert deleted.keys() == kept.keys()
+        for name in deleted:
+            assert deleted[name] == kept[name], name
+
+    def test_learn_and_compare_count_no_table_select_stored(self, workspace, monkeypatch):
+        assert run("select", "--config", "pipeline.ini") == 0
+        (cached,) = (workspace / "out").glob("counts-*.npz")
+        stored = stored_sets(cached, workspace / "tiny.schema")
+        counted, served = record_counting(monkeypatch)
+        for cmd in ("learn", "compare"):
+            assert run(cmd, "--config", "pipeline.ini") == 0
+        assert len(stored) == 5 + 10 + 10 and served
+        assert not any(names in stored for names in counted)
+
+    @pytest.mark.parametrize("damage", ["truncated", "one count changed", "short of a record", "another key"])
+    def test_unusable_counts_file_is_counted_again(self, workspace, monkeypatch, damage):
+        assert run("select", "--config", "pipeline.ini") == 0
+        out = workspace / "out"
+        (cached,) = out.glob("counts-*.npz")
+        good = cached.read_bytes()
+        stored = stored_sets(cached, workspace / "tiny.schema")
+        selected = workspace / "selected"
+        shutil.copytree(out, selected)
+        runs = []
+        for damaged in (False, True):
+            shutil.rmtree(out)
+            shutil.copytree(selected, out)
+            if damaged:
+                with np.load(cached, allow_pickle=False) as arrays:
+                    variables, counts = arrays["variables"], arrays["counts"].copy()
+                cached.unlink()
+                if damage == "truncated":
+                    cached.write_bytes(good[:-7])
+                elif damage == "another key":
+                    cached.with_name(cached.name.replace("counts-", "counts-0", 1)).write_bytes(good)
+                else:
+                    counts[0] -= 1  # kept under its name, or named after its new digest
+                    key = cached.name.split("-")[1]
+                    target = out / dataset._counts_name(key, variables, counts) if damage == "short of a record" else cached
+                    np.savez(target, variables=variables, counts=counts)
+            with monkeypatch.context() as patched:
+                counted, _ = record_counting(patched)
+                for cmd in ("learn", "compare", "cv", "fit-predict", "report"):
+                    assert run(cmd, "--config", "pipeline.ini") == 0
+            files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            runs.append(({k: v for k, v in files.items() if not k.startswith("counts-")}, counted))
+        (intact, counted_intact), (damaged, counted_damaged) = runs
+        assert damaged.keys() == intact.keys()
+        for name in intact:
+            assert damaged[name] == intact[name], name
+        assert not any(names in stored for names in counted_intact)
+        assert any(names in stored for names in counted_damaged)  # counted again
 
     def test_effective_config_reproduces_run(self, workspace):
         for cmd in ("select", "learn", "compare", "cv"):

@@ -1,9 +1,12 @@
 import csv
 import io
+import itertools
 import math
 import re
 import shutil
 import warnings
+import zipfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -145,6 +148,107 @@ class TestLayout:
         assert_column_major_read_only(picked)
         assert picked.schema.names == ("T", "V")
         assert np.array_equal(picked.records, data.records[:, [0, 2]])
+
+
+@st.composite
+def memo_cases(draw):
+    """(Dataset, requests): 1-6 variables of 2-5 states (a variable needs
+    at least 2) and 0-300 rows, and every 1-3-name request in every order,
+    shuffled."""
+    cards = draw(st.lists(st.integers(2, 5), min_size=1, max_size=6))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schema = Schema(tuple(
+        VariableSpec(f"V{j}", tuple(str(k) for k in range(r)), "target" if j == 0 else "predictor")
+        for j, r in enumerate(cards)
+    ))
+    records = np.column_stack([rng.integers(0, r, n) for r in cards])
+    requests = [
+        order for k in (1, 2, 3) for names in itertools.combinations(schema.names, k)
+        for order in itertools.permutations(names)
+    ]
+    return Dataset(schema, records), draw(st.permutations(requests))
+
+
+def fresh_count(data, names):
+    """The table of a counting pass, past any kept table."""
+    return dataset._count(data, names)
+
+
+MEMO_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+class TestTableMemo:
+    @MEMO_SETTINGS
+    @given(case=memo_cases())
+    def test_every_request_equals_a_fresh_count(self, case):
+        data, requests = case
+        for names in requests:
+            got, fresh = contingency_table(data, names), fresh_count(data, names)
+            assert got.dtype == fresh.dtype == np.int64 and got.shape == fresh.shape
+            assert got.flags.c_contiguous and got.tobytes() == fresh.tobytes()
+            cols = [data.schema.index(n) for n in names]
+            assert np.array_equal(got, add_at_table(data.records, cols, fresh.shape))
+
+    @MEMO_SETTINGS
+    @given(case=memo_cases())
+    def test_a_changed_answer_changes_no_later_one(self, case):
+        data, requests = case
+        for names in requests:
+            contingency_table(data, names)[...] += 1
+            contingency_table(data, names[::-1])[...] = -1
+            assert contingency_table(data, names).tobytes() == fresh_count(data, names).tobytes()
+
+    @MEMO_SETTINGS
+    @given(case=memo_cases())
+    def test_the_cells_bound_holds_and_the_kept_order_is_the_first_requests(self, case):
+        data, requests = case
+        expected, cells, seen = [], 0, set()
+        for names in requests:
+            contingency_table(data, names)
+            size = math.prod(data.schema.cardinality(n) for n in names)
+            if frozenset(names) not in seen and cells + size <= data.records.size:
+                expected.append(names)
+                cells += size
+                seen.add(frozenset(names))
+        memo = data._memo
+        assert [order for order, _ in memo.tables.values()] == expected
+        assert memo.cells == sum(t.size for _, t in memo.tables.values()) == cells <= data.records.size
+
+    @MEMO_SETTINGS
+    @given(case=memo_cases())
+    def test_groups_are_never_served_from_kept_tables(self, case):
+        data, requests = case
+        groups = np.arange(data.n_records) % 3
+        for names in requests:
+            shape = tuple(data.schema.cardinality(n) for n in names)
+            # a wrong table kept under these names: served without groups, never with them
+            data._memo.tables[frozenset(names)] = (names, np.full(shape, 7, dtype=np.int64))
+            assert np.all(contingency_table(data, names) == 7)
+            cols = [data.schema.index(n) for n in names]
+            stacked = contingency_table(data, names, groups)
+            reference = [add_at_table(data.records[groups == g], cols, shape) for g in range(groups.max(initial=-1) + 1)]
+            assert stacked.shape == (len(reference), *shape)
+            assert all(np.array_equal(s, r) for s, r in zip(stacked, reference))
+
+    @MEMO_SETTINGS
+    @given(case=memo_cases())
+    def test_subset_starts_empty_and_select_variables_shares(self, case):
+        data, requests = case
+        target = data.schema.target
+        names = requests[0]
+        shape = tuple(data.schema.cardinality(n) for n in names)
+        data._memo.tables[frozenset(names)] = (names, np.full(shape, 7, dtype=np.int64))
+        picked = data.select_variables({target, *names})
+        assert np.all(contingency_table(picked, names) == 7)
+        sub = data.subset(np.arange(data.n_records))
+        assert sub._memo.tables == {}
+        assert contingency_table(sub, names).tobytes() == fresh_count(data, names).tobytes()
+
+    def test_repeated_names_are_counted_not_kept(self):
+        data = Dataset(three_var_schema(), np.array([[0, 1, 2], [2, 0, 3]]))
+        assert contingency_table(data, ("V", "V")).tolist()[2][2] == 1
+        assert data._memo.tables == {}
 
 
 # cells with embedded delimiters and quotes, and an extra column E
@@ -584,6 +688,136 @@ class TestRecordsCache:
         path.write_text("A,B\nx,y\n", encoding="utf-8")
         data = load_dataset(path, two_var_schema(), tmp_path / "missing")
         assert data.records.tolist() == [[0, 0]] and not (tmp_path / "missing").exists()
+
+
+def counts_files(out):
+    return sorted(p.name for p in out.glob("counts-*.npz"))
+
+
+def kept_tables(data):
+    return [(order, table.tolist()) for order, table in data._memo.tables.values()]
+
+
+def write_npz(path, *members, compress=False):
+    """An npz of (member name, array) pairs at path, a *.npz name, written
+    by numpy's savez."""
+    (np.savez_compressed if compress else np.savez)(path, **dict(members))
+
+
+class TestCountsCache:
+    """store_counts writes the tables kept on a Dataset of load_dataset, and
+    load_dataset starts each later Dataset of the same records from them."""
+
+    def stored(self, tmp_path):
+        path, out = tmp_path / "d.csv", tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        path.write_text("A,B\nx,y\nz,w\nz,y\n", encoding="utf-8")
+        data = load_dataset(path, two_var_schema(), out)
+        for names in (("B",), ("A",), ("A", "B")):  # 2 + 2 cells; the pair's 4 would pass 3 x 2
+            contingency_table(data, names)
+        dataset.store_counts(data, out)
+        return path, out, data
+
+    def test_round_trip_keeps_order_and_bytes(self, tmp_path):
+        path, out, data = self.stored(tmp_path)
+        (name,) = counts_files(out)
+        first = (out / name).read_bytes()
+        assert kept_tables(data) == [(("B",), [2, 1]), (("A",), [1, 2])]
+        with mock.patch.object(dataset, "_count", side_effect=AssertionError("counted a stored table")):
+            loaded = load_dataset(path, two_var_schema(), out)
+            assert kept_tables(loaded) == kept_tables(data)
+            assert contingency_table(loaded, ("A",)).tolist() == [1, 2]
+        with np.load(out / name, allow_pickle=False) as stored:
+            assert stored["variables"].tolist() == [[1], [0]]
+            assert stored["counts"].dtype == np.uint8 and stored["counts"].tolist() == [2, 1, 1, 2]
+        dataset.store_counts(loaded, out)  # the same tables, written again later
+        assert counts_files(out) == [name] and (out / name).read_bytes() == first
+        assert not list(out.glob(".*.tmp"))
+
+    def test_the_same_arrays_written_by_numpy_load(self, tmp_path):
+        path, out, data = self.stored(tmp_path)
+        (name,) = counts_files(out)
+        with np.load(out / name, allow_pickle=False) as stored:
+            members = [("variables", stored["variables"]), ("counts", stored["counts"])]
+        (out / name).unlink()
+        write_npz(out / name, *members)
+        assert kept_tables(load_dataset(path, two_var_schema(), out)) == kept_tables(data)
+
+    def test_other_counts_files_go_and_a_dataset_without_a_key_stores_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "counts-0123-4567.npz").write_bytes(b"left by an earlier run")
+        (out / "counts.txt").write_text("not a counts file", encoding="utf-8")
+        path, out, data = self.stored(tmp_path)
+        assert len(counts_files(out)) == 1 and (out / "counts.txt").is_file()
+        plain = Dataset(data.schema, data.records)
+        contingency_table(plain, ("A",))
+        dataset.store_counts(plain, tmp_path)
+        assert counts_files(tmp_path) == []
+
+    def test_a_file_of_other_records_is_not_read(self, tmp_path):
+        path, out, data = self.stored(tmp_path)
+        path.write_text("A,B\nx,y\nz,w\nx,y\n", encoding="utf-8")
+        assert kept_tables(load_dataset(path, two_var_schema(), out)) == []
+
+    @pytest.mark.parametrize("damage", [
+        "empty", "truncated", "npy", "directory", "extra member", "members swapped", "compressed",
+        "pickled", "one count changed", "int32 variables", "uint16 counts", "short of a record",
+        "index out of range", "padding inside a row", "no variable", "a set named twice",
+        "a repeated name", "cells of no table", "past the cells bound",
+    ])
+    def test_unusable_file_counts_as_absent(self, tmp_path, damage):
+        path, out, data = self.stored(tmp_path)
+        (name,) = counts_files(out)
+        target = out / name
+        good = target.read_bytes()
+        with np.load(target, allow_pickle=False) as stored:
+            variables, counts = stored["variables"], stored["counts"]
+        target.unlink()
+        u8 = lambda *cells: np.array(cells, dtype=np.uint8)
+        # arrays that fail one check each; the file is named after them, so
+        # that the digest holds
+        wrong = {
+            "int32 variables": (variables.astype(np.int32), counts),
+            "uint16 counts": (variables, counts.astype(np.uint16)),
+            "short of a record": (variables, u8(1, 1, 1, 2)),
+            "index out of range": (variables + 1, counts),
+            "padding inside a row": (np.array([[-1, 1], [0, -1]]), counts),
+            "no variable": (np.array([[-1], [0]]), counts),
+            "a set named twice": (np.array([[0], [0]]), u8(1, 2, 1, 2)),
+            "a repeated name": (np.array([[0, 0]]), u8(1, 0, 0, 2)),
+            "cells of no table": (variables, np.append(counts, u8(0))),
+            "past the cells bound": (np.array([[1, -1], [0, -1], [0, 1]]), u8(2, 1, 1, 2, 1, 0, 1, 1)),
+        }
+        if damage in wrong:
+            v, c = wrong[damage]
+            write_npz(out / dataset._counts_name(data._memo.key, v, c), ("variables", v), ("counts", c))
+        elif damage in ("empty", "truncated"):
+            target.write_bytes(b"" if damage == "empty" else good[:-7])
+        elif damage == "npy":
+            np.save(target, counts)
+            target.with_name(target.name + ".npy").rename(target)
+        elif damage == "directory":
+            target.mkdir()
+        elif damage == "pickled":
+            with zipfile.ZipFile(target, "w") as archive:
+                for member, array in (("variables", variables), ("counts", counts.astype(object))):
+                    buffer = io.BytesIO()
+                    np.save(buffer, array, allow_pickle=True)
+                    archive.writestr(f"{member}.npy", buffer.getvalue())
+        else:
+            members = {
+                "extra member": [("variables", variables), ("counts", counts), ("more", counts)],
+                "members swapped": [("counts", counts), ("variables", variables)],
+                "compressed": [("variables", variables), ("counts", counts)],
+                "one count changed": [("variables", variables), ("counts", u8(1, 2, 1, 2))],
+            }[damage]
+            write_npz(target, *members, compress=damage == "compressed")
+        assert len(counts_files(out)) == 1 or damage == "directory"
+        loaded = load_dataset(path, two_var_schema(), out)
+        assert kept_tables(loaded) == []
+        for names in (("A",), ("B", "A")):
+            assert contingency_table(loaded, names).tolist() == contingency_table(data, names).tolist()
 
 
 LABEL_TEXT = st.text(alphabet="ab1Z\xe9\u20ac", min_size=1, max_size=20).filter(lambda t: len(t.encode()) <= 20)
