@@ -20,6 +20,8 @@ import itertools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bayesnet, evaluation, infotheory, mcmc, modelselect, structlearn
 from .config import ConfigError, PipelineConfig, load_config, write_effective_config
 from .dataset import (
@@ -73,6 +75,15 @@ def _selected_data(cfg: PipelineConfig, data: Dataset) -> Dataset:
 # phase 1: feature selection
 # ---------------------------------------------------------------------------
 
+def _best_scores(table: infotheory.ScoreTable, scores) -> dict[str, float]:
+    """Each variable's largest score over the rows that name it as x or y;
+    0 when none does."""
+    best = np.zeros(len(table.names))
+    np.maximum.at(best, table.x, scores)
+    np.maximum.at(best, table.y, scores)
+    return dict(zip(table.names, best.tolist()))
+
+
 def cmd_select(cfg: PipelineConfig) -> None:
     data = _load_data(cfg)
     unknown = [n for n in cfg.keep if n not in data.schema.names]
@@ -84,25 +95,17 @@ def cmd_select(cfg: PipelineConfig) -> None:
     infotheory.write_score_table(pairwise, out / "score_mi.csv")
     infotheory.write_score_table(triple, out / "score_cmi.csv")
     infotheory.write_score_table(delta, out / "score_delta.csv")
-    mi_edges, mi_counts = infotheory.histogram([e.mi_norm for e in pairwise.entries], cfg.hist_bins)
+    mi_edges, mi_counts = infotheory.histogram(pairwise.mi_norm, cfg.hist_bins)
     infotheory.write_histogram(mi_edges, mi_counts, out / "hist_mi.csv")
-    if triple.entries:
-        cmi_edges, cmi_counts = infotheory.histogram(
-            [e.cmi_norm for e in triple.entries], cfg.hist_bins
-        )
+    if len(triple):
+        cmi_edges, cmi_counts = infotheory.histogram(triple.cmi_norm, cfg.hist_bins)
     else:
         cmi_edges, cmi_counts = [], []  # two variables: nothing to condition on
     infotheory.write_histogram(cmi_edges, cmi_counts, out / "hist_cmi.csv")
 
     target = data.schema.target
-    best_mi: dict[str, float] = {n: 0.0 for n in data.schema.names}
-    for e in pairwise.entries:
-        best_mi[e.x] = max(best_mi[e.x], e.mi_norm)
-        best_mi[e.y] = max(best_mi[e.y], e.mi_norm)
-    best_cmi: dict[str, float] = {n: 0.0 for n in data.schema.names}
-    for e in triple.entries:
-        best_cmi[e.x] = max(best_cmi[e.x], e.cmi_norm)
-        best_cmi[e.y] = max(best_cmi[e.y], e.cmi_norm)
+    best_mi = _best_scores(pairwise, pairwise.mi_norm)
+    best_cmi = _best_scores(triple, triple.cmi_norm)
 
     proposed = [
         n for n in data.schema.names

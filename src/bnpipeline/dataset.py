@@ -9,6 +9,7 @@ from a sample keep their slot in every downstream count table.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -16,9 +17,11 @@ import os
 import tokenize
 import warnings
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -246,7 +249,9 @@ def contingency_table(data: Dataset, names: Sequence[str], groups: np.ndarray | 
     variables, in any order, is served from it: a new C-contiguous int64
     array, equal to a fresh count. So a phase counts a kept table once, and
     none of the tables the run's select stored (store_counts), which
-    load_dataset gives every later phase."""
+    load_dataset gives every later phase. contingency_stacks, which counts
+    select's 1-, 2- and 3-way tables many to a pass, keeps its tables as a
+    call here for each, one after another, would."""
     if groups is not None or len(set(names)) != len(names):
         return _count(data, names, groups)
     table = data._memo.get(names)
@@ -268,7 +273,217 @@ def _count(data: Dataset, names: Sequence[str], groups: np.ndarray | None = None
     for r, column in zip(shape[1:], columns[1:]):
         idx *= r
         idx += column
-    return np.bincount(idx, minlength=math.prod(shape)).reshape(shape)
+    return _tally(idx, math.prod(shape)).reshape(shape)
+
+
+def _tally(index: np.ndarray, size: int) -> np.ndarray:
+    """One counting pass over the records: how often each of 0..size-1
+    occurs in index, which holds one cell index per record (or per record
+    and table of a stack)."""
+    return np.bincount(index.ravel(order="K"), minlength=size)
+
+
+# cells of the tables contingency_stacks gathers into one stack before it
+# yields them: 2 MB of int64 counts
+_STACK_CELLS = 1 << 18
+
+
+def contingency_stacks(data: Dataset, names: Sequence[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every count table over one, two and three distinct names, in stacks.
+
+    Yields (positions, tables): positions is a (k, w) array whose rows are
+    the increasing indices into names of a table's w variables, and tables
+    the (k, *their cardinalities) int64 stack of those tables, each equal to
+    contingency_table(data, [names[i] for i in row]). Each table comes
+    exactly once, in no fixed order, and the tables of a stack have one
+    shape.
+
+    Each table is an exact marginal (a sum over axes) of a joint table over
+    a group of names. names is cut, in order, into blocks of consecutive
+    variables whose joint holds at most the cube root of the record count
+    in cells; a variable with more states is a block of its own. So a joint
+    over three blocks holds at most one cell per record: with many records
+    per cell the blocks are wide and few joints are counted, with few the
+    blocks are single variables and the joints are the triples themselves.
+    A table over the variables of one or two blocks is a marginal of the
+    joint of two blocks, a table over three blocks one of the joint of
+    those three. The joints that share all blocks but their last are
+    counted in one pass, from each record's index within each block.
+
+    After the last stack, the tables are kept on data as contingency_table
+    would keep them if asked for the singles, the pairs and then the
+    triples, each in itertools.combinations order of names with its names
+    in that order: a table already kept is skipped, and the others are kept
+    while the cells bound allows."""
+    card = [data.schema.cardinality(name) for name in names]
+    keeping = _KeepPlan(data._memo, names, card)
+    pending: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
+    cells: Counter[tuple[int, ...]] = Counter()
+    for positions, tables in _BlockJoints(data, names, card).marginals():
+        keeping.retain(positions, tables)
+        shape = tables.shape[1:]
+        pending.setdefault(shape, []).append((positions, tables))
+        cells[shape] += tables.size
+        if cells[shape] >= _STACK_CELLS:
+            yield _joined(pending.pop(shape))
+            del cells[shape]
+    for stack in pending.values():
+        yield _joined(stack)
+    keeping.keep()
+
+
+class _KeepPlan:
+    """The tables of contingency_stacks that the memo would keep, decided
+    from their sizes before any is counted, so that only those are held
+    until keep() keeps them in order."""
+
+    def __init__(self, memo: _TableMemo, names: Sequence[str], card: Sequence[int]):
+        self.memo, self.names = memo, list(names)
+        self.powers = len(names) ** np.arange(2, -1, -1)  # a table's code: its positions in base len(names)
+        self.order: list[tuple[int, ...]] = []
+        budget, smallest = memo.limit - memo.cells, sorted(card)
+        for width in (1, 2, 3):
+            least = math.prod(smallest[:width])  # no table of this width or wider is smaller
+            for positions in combinations(range(len(names)), width):
+                if budget < least:
+                    break
+                size = math.prod(card[p] for p in positions)
+                if size <= budget and frozenset(self.names[p] for p in positions) not in memo.tables:
+                    self.order.append(positions)
+                    budget -= size
+        self.codes = {width: np.sort([self._code(p) for p in self.order if len(p) == width]) for width in (1, 2, 3)}
+        self.held: dict[tuple[int, ...], np.ndarray] = {}
+
+    def _code(self, positions) -> int:
+        return int(np.dot(positions, self.powers[-len(positions):]))
+
+    def retain(self, positions: np.ndarray, tables: np.ndarray) -> None:
+        held = self.codes[positions.shape[1]]
+        if not held.size:
+            return
+        codes = positions @ self.powers[-positions.shape[1]:]
+        found = np.minimum(np.searchsorted(held, codes), held.size - 1)
+        for row in np.flatnonzero(held[found] == codes).tolist():
+            self.held[tuple(positions[row].tolist())] = tables[row].copy()
+
+    def keep(self) -> None:
+        for positions in self.order:
+            self.memo.keep(tuple(self.names[p] for p in positions), self.held.pop(positions))
+
+
+def _joined(stack: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    return np.concatenate([p for p, _ in stack]), np.concatenate([t for _, t in stack])
+
+
+class _BlockJoints:
+    """The joints of contingency_stacks: names cut into blocks (_blocks),
+    and codes[b], each record's mixed-radix index over block b's variables,
+    the first the slowest."""
+
+    def __init__(self, data: Dataset, names: Sequence[str], card: Sequence[int]):
+        self.blocks = _blocks(card, data.n_records)
+        self.shapes = [tuple(card[p] for p in block) for block in self.blocks]
+        self.codes = np.zeros((len(self.blocks), data.n_records), dtype=np.int64)
+        for code, block in zip(self.codes, self.blocks):
+            for p in block:
+                code *= card[p]
+                code += data.records[:, data.schema.index(names[p])]
+        self.index = np.empty_like(self.codes)  # one buffer for every pass: no pass faults in fresh pages
+        # later[b]: the blocks after b, grouped by shape in order of first appearance
+        self.later: list[list[list[int]]] = []
+        for b in range(len(self.blocks)):
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for c in range(b + 1, len(self.blocks)):
+                groups.setdefault(self.shapes[c], []).append(c)
+            self.later.append(list(groups.values()))
+
+    def joints(self, base: np.ndarray, base_shape: tuple[int, ...], members: list[int]) -> np.ndarray:
+        """The joints of base (each record's index over base_shape) with
+        each block of members, all of one shape, counted in one pass: shape
+        (len(members), *base_shape, *member shape)."""
+        shape = self.shapes[members[0]]
+        cells = math.prod(shape)
+        size = math.prod(base_shape) * cells
+        first, last = members[0], members[-1] + 1
+        rows = self.codes[first:last] if last - first == len(members) else self.codes[members]
+        index = np.add(rows, (np.arange(len(members)) * size)[:, None], out=self.index[: len(members)])
+        index += base * cells
+        return _tally(index, len(members) * size).reshape(len(members), *base_shape, *shape)
+
+    def marginals(self):
+        """(positions, tables) of every table over 1-3 variables, one
+        pattern of a stack of joints at a time."""
+        blocks, shapes, codes = self.blocks, self.shapes, self.codes
+        last = len(blocks) - 1
+        if last == 0:  # one block: its own joint holds every table
+            joint = _tally(codes[0], math.prod(shapes[0])).reshape(1, *shapes[0])
+            yield from _marginals(joint, blocks, _patterns(range(len(blocks[0]))))
+            return
+        for a in range(last):
+            first = range(len(blocks[a]))
+            for members in self.later[a]:
+                joints = self.joints(codes[a], shapes[a], members)
+                axes = [blocks[a] + blocks[b] for b in members]
+                second = range(len(blocks[a]), len(axes[0]))
+                # tables over both blocks; those over one block come from its
+                # joint with the next block, or the last block's with the one before
+                yield from _marginals(joints, axes, _patterns(first, second))
+                if members[0] == a + 1:
+                    yield from _marginals(joints[:1], axes[:1], _patterns(first))
+                if a == last - 1:
+                    yield from _marginals(joints, axes, _patterns(second))
+                for b in members:
+                    base = codes[a] * math.prod(shapes[b]) + codes[b]
+                    for later in self.later[b]:
+                        triples = self.joints(base, shapes[a] + shapes[b], later)
+                        third = range(len(axes[0]), triples.ndim - 1)
+                        yield from _marginals(
+                            triples, [blocks[a] + blocks[b] + blocks[c] for c in later], _patterns(first, second, third)
+                        )
+
+
+def _blocks(card: Sequence[int], n: int) -> list[list[int]]:
+    """The positions 0..len(card)-1 cut, in order, into blocks whose
+    joint holds at most the cube root of n cells, or one variable."""
+    blocks: list[list[int]] = []
+    cells = 0
+    for p, r in enumerate(card):
+        if blocks and (cells * r) ** 3 <= n:
+            blocks[-1].append(p)
+            cells *= r
+        else:
+            blocks.append([p])
+            cells = r
+    return blocks
+
+
+@functools.cache
+def _patterns(*parts: range) -> tuple[tuple[int, ...], ...]:
+    """Every increasing tuple of 1-3 axes that takes at least one axis of
+    each part."""
+    axes = [t for part in parts for t in part]
+    return tuple(s for size in (1, 2, 3) for s in combinations(axes, size) if all(set(s) & set(part) for part in parts))
+
+
+def _marginals(joints: np.ndarray, axes: list[list[int]], patterns: tuple[tuple[int, ...], ...]):
+    """(positions, tables) of each pattern, a tuple of increasing axes of
+    the joints, where joints[s] is the joint over the positions axes[s].
+    Each marginal is summed over one axis from the next wider one, which
+    keeps the same axes and the largest axis it lacks, so that the
+    patterns share their wider sums."""
+    axes = np.asarray(axes)
+    every = range(axes.shape[1])
+    sums = {tuple(every): joints}
+
+    def marginal(kept: tuple[int, ...]) -> np.ndarray:
+        if kept not in sums:
+            dropped = max(set(every) - set(kept))
+            wider = tuple(sorted((*kept, dropped)))
+            sums[kept] = marginal(wider).sum(axis=1 + wider.index(dropped))
+        return sums[kept]
+
+    for pattern in patterns:
+        yield axes[:, list(pattern)], marginal(pattern)
 
 
 def numeric_state_values(spec: VariableSpec) -> np.ndarray:
@@ -354,8 +569,9 @@ def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = No
     Columns not named in the schema are skipped with a warning. Any cell
     that is not a declared state of its variable is an error; there is no
     missing-value handling. The text is split into cells by one vectorized
-    pass, and each column is encoded by a sorted-label search over at most
-    the longest label's length of each cell. The error reported is at the
+    pass, and each column is encoded by a table of the labels' first bytes,
+    with a sorted-label search only where labels share a first byte, over
+    at most the longest label's length of each cell. The error reported is at the
     first offending row in the file: its quoting if that is broken, else its
     width if that is wrong, else its first unknown state in schema order.
     """
@@ -443,7 +659,7 @@ def load_dataset(
     its name counts as absent. When it is absent, ingest_csv parses the CSV,
     with all its errors and its warning about columns not in the schema,
     which so shows only on a parse. The records are then written under a
-    temporary name, flushed to disk and renamed into place, and every other
+    temporary name and renamed into place (_replace_file), and every other
     records-*.npy in out_dir is removed. A file that cannot be written is
     skipped: it only saves a later call the parse. Editing the CSV or the
     schema changes the name, and deleting the file costs one parse.
@@ -491,15 +707,16 @@ def _cached_records(path: str | Path, schema: Schema, out_dir: Path, options: Cs
 
 def _replace_file(out_dir: Path, name: str, write, stale: str) -> None:
     """Write out_dir/name through write(binary file) under a temporary
-    name, flush it to disk, rename it into place and remove every other
-    file of out_dir that matches the glob stale. A file that cannot be
-    written is skipped: a cache file only saves later work."""
+    name, rename it into place and remove every other file of out_dir that
+    matches the glob stale. A file that cannot be written is skipped: a
+    cache file only saves later work. Nothing is forced to disk: every
+    cache file is named by the SHA-256 of its contents, which each read
+    checks, so a file that a crash left torn or unwritten counts as absent
+    and is made again."""
     final, temporary = out_dir / name, out_dir / f".{name}.{os.getpid()}.tmp"
     try:
         with open(temporary, "wb") as fh:
             write(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
         os.replace(temporary, final)
         for old in out_dir.glob(stale):
             if old != final:
@@ -715,9 +932,13 @@ class _CsvCells:
 
         Each cell is gathered up to the longest label's length and padded to
         whole 64-bit words with a unit no text holds (0xFF is no UTF-8 byte,
-        0xFFFFFFFF no code point), and so is each label; a search over the
-        sorted labels finds it. So neither a NUL nor a prefix aliases a label,
-        and a longer cell costs no more."""
+        0xFFFFFFFF no code point), and so is each label; a cell is a label
+        when the two keys are equal. So neither a NUL nor a prefix aliases a
+        label, and a longer cell costs no more. A 256-entry table of the
+        labels' first bytes names the one label a cell can be when no other
+        label starts with the cell's first byte, and its key is compared
+        with that label's; only the cells whose first byte starts several
+        labels are found by a search over the sorted labels."""
         units = self.units
         pad = np.iinfo(units.dtype).max
         coded = [np.frombuffer(s.encode(self._codec), dtype=units.dtype) for s in states]
@@ -727,9 +948,10 @@ class _CsvCells:
         labels = np.full((len(coded), row), pad, dtype=units.dtype)
         for k, label in enumerate(coded):
             labels[k, : label.size] = label
+        by_first = np.full(256, -1, dtype=np.int64)  # the label with this first byte; -2: several
+        for k, byte in enumerate(labels.view(np.uint8)[:, 0].tolist()):
+            by_first[byte] = k if by_first[byte] == -1 else -2
         labels = labels.view(key_type).ravel()
-        order = np.argsort(labels)
-        labels = labels[order]
 
         start = self.start[cells]
         length = self.length[cells]
@@ -738,9 +960,15 @@ class _CsvCells:
             column = keys[:, i]
             np.take(units, start + i, out=column, mode="clip")
             column[length <= i] = pad
+        candidate = by_first[keys.view(np.uint8)[:, 0]]
         keys = keys.view(key_type).ravel()
-        k = np.minimum(np.searchsorted(labels, keys), len(coded) - 1)
-        codes = np.where((labels[k] == keys) & (length <= width), order[k], -1)
+        shared = np.flatnonzero(candidate == -2)
+        if shared.size:
+            order = np.argsort(labels)
+            found = np.minimum(np.searchsorted(labels[order], keys[shared]), len(coded) - 1)
+            candidate[shared] = order[found]
+        found = np.maximum(candidate, 0)
+        codes = np.where((candidate >= 0) & (labels[found] == keys) & (length <= width), candidate, -1)
         for i in np.flatnonzero(length < 0).tolist():  # cells with doubled quotes
             value = self.unescaped[cells.start + i * cells.step]
             codes[i] = states.index(value) if value in states else -1

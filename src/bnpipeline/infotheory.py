@@ -8,15 +8,15 @@ entropies, so they do not depend on the logarithm base.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, contingency_table
+from .dataset import Dataset, contingency_stacks
 
 
 def entropy(counts) -> float:
@@ -63,15 +63,17 @@ def conditional_mutual_information(joint) -> float:
     return max(0.0, (hxz - hz) + (hyz - hz) - (hxyz - hz))
 
 
-def _normalized_cmi(hz: float, hxz: float, hyz: float, hxyz: float) -> float:
+def _normalized_cmi(hz, hxz, hyz, hxyz) -> np.ndarray:
     """2*CMI / (H(X|Z)+H(Y|Z)) from the four joint entropies, CMI clamped at
-    0. With hz = 0 (a constant Z) it is exactly the normalized MI."""
+    0, elementwise over arrays. With hz = 0 (a constant Z) it is exactly the
+    normalized MI."""
     hx_z = hxz - hz
     hy_z = hyz - hz
     denom = hx_z + hy_z
-    if denom <= 1e-12:  # rounding residue: a true sum this small takes ~1e12 records
-        return 0.0
-    return 2.0 * max(0.0, hx_z + hy_z - (hxyz - hz)) / denom
+    gain = hx_z + hy_z - (hxyz - hz)
+    score = 2.0 * np.where(gain > 0.0, gain, 0.0)
+    # 0 where the denominator is rounding residue: a true sum this small takes ~1e12 records
+    return np.divide(score, denom, out=np.zeros_like(score), where=denom > 1e-12)
 
 
 def normalized_mi(joint) -> float:
@@ -79,7 +81,7 @@ def normalized_mi(joint) -> float:
     t = np.asarray(joint, dtype=float)
     if t.ndim != 2:
         raise ValueError("expected a 2-D contingency table")
-    return _normalized_cmi(0.0, entropy(t.sum(axis=1)), entropy(t.sum(axis=0)), entropy(t))
+    return float(_normalized_cmi(0.0, entropy(t.sum(axis=1)), entropy(t.sum(axis=0)), entropy(t)))
 
 
 def normalized_cmi(joint) -> float:
@@ -92,32 +94,68 @@ def normalized_cmi(joint) -> float:
     if t.ndim < 3:
         raise ValueError("expected a table over (X, Y, Z...) with at least 3 axes")
     t = t.reshape(t.shape[0], t.shape[1], -1)
-    return _normalized_cmi(
+    return float(_normalized_cmi(
         entropy(t.sum(axis=(0, 1))), entropy(t.sum(axis=1)), entropy(t.sum(axis=0)), entropy(t)
-    )
+    ))
 
 
-@dataclass(frozen=True)
-class ScoreEntry:
-    x: str
-    y: str
-    z: str | None
-    mi_norm: float
-    cmi_norm: float | None = None
-    delta: float | None = None
-    perc: float | None = None
+def _entropies(tables: np.ndarray, orders: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """entropy() of each table of a stack (k, *shape) read with its axes in
+    each of orders: shape (k, len(orders)), bit for bit equal to entropy()
+    of the table transposed to that order.
+
+    Each nonzero cell's p*log(p) is taken once, over the nonzero cells as
+    one contiguous array, as entropy takes it. The tables are sorted by
+    their count of nonzero cells, so that for each order the nonzero terms
+    of the tables with m of them form a (tables, m) block, each row in its
+    table's own C order, and the row sums of that block add each table's
+    terms in the same pairwise order as entropy's sum."""
+    k = len(tables)
+    nonzero = tables > 0
+    per_table = np.count_nonzero(nonzero.reshape(k, -1), axis=1)
+    rank = np.argsort(per_table, kind="stable")
+    tables, nonzero, per_table = tables[rank], nonzero[rank], per_table[rank]
+    p = (tables / tables.reshape(k, -1).sum(axis=1).reshape(k, *[1] * (tables.ndim - 1)))[nonzero]
+    terms = np.zeros(tables.shape)
+    terms[nonzero] = p * np.log(p)
+    ends = [*(np.flatnonzero(np.diff(per_table)) + 1).tolist(), k]
+    out = np.empty((k, len(orders)))
+    for o, order in enumerate(orders):
+        axes = (0, *(1 + a for a in order))
+        flat = terms.transpose(axes)[nonzero.transpose(axes)]
+        start = used = 0
+        for end in ends:
+            m = int(per_table[start])
+            out[rank[start:end], o] = -flat[used : used + (end - start) * m].reshape(end - start, m).sum(axis=1)
+            start, used = end, used + (end - start) * m
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
+    """One score table as columns, row i of the table being entry i of each.
+
+    x, y and z index names, in the smallest unsigned dtype that holds every
+    index; the scores are float64. The pairwise table has no z, cmi_norm,
+    delta or perc (None)."""
+
     kind: str  # "pairwise" | "triple" | "delta"
-    entries: tuple[ScoreEntry, ...]
+    names: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray | None
+    mi_norm: np.ndarray
+    cmi_norm: np.ndarray | None = None
+    delta: np.ndarray | None = None
+    perc: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
-def _percent_gain(delta: float, mi_norm: float) -> float:
-    if mi_norm > 0.0:
-        return 100.0 * delta / mi_norm
-    return math.inf if delta > 0.0 else 0.0
+# the entries (a,b|c), (a,c|b) and (b,c|a) of a triple (a, b, c): the axes
+# of its table that each reads as (x, y, z)
+_TRIPLE_ENTRIES = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
 def build_score_tables(
@@ -130,7 +168,16 @@ def build_score_tables(
     sorted by decreasing CMI'. The delta table repeats the triple rows with
     delta = CMI' - MI' and the relative gain in percent, sorted by
     decreasing gain, to surface pairs that look weak marginally but become
-    informative once conditioned.
+    informative once conditioned. Ties go to the names, x then y then z.
+
+    Every 1-, 2- and 3-way table comes from dataset.contingency_stacks, as
+    a marginal of a few joint counts, and is kept on data as a loop of
+    contingency_table over them would keep it. Float sums depend on element
+    order, so each entropy is taken over a table with its axes in the
+    entry's own order (_entropies): every score then equals
+    normalized_mi/normalized_cmi of the entry's own contingency table, bit
+    for bit. The sorts are on unique keys, so the order entries are made in
+    does not reach the tables.
     """
     names = list(variables) if variables is not None else list(data.schema.names)
     if len(names) < 2:
@@ -139,50 +186,51 @@ def build_score_tables(
         raise ValueError(f"duplicate variables: {names}")
     for n in names:
         data.schema.index(n)  # raises on unknown names
+    if data.n_records == 0:
+        raise ValueError("counts sum to zero")
 
-    # Float sums depend on element order, so every entropy is taken over a
-    # C-ordered table with its axes in the entry's own order: each score then
-    # equals normalized_mi/normalized_cmi of the entry's own contingency
-    # table. Marginal counts are exact integers, so H(c) and H(a,c) are
-    # shared. The sorts are on unique keys, so the order entries are made in
-    # does not reach the tables.
-    h = {c: entropy(contingency_table(data, (c,))) for c in names}
-    h2: dict[tuple[str, str], float] = {}
-    mi_of: dict[tuple[str, str], float] = {}
-    pairwise = []
-    for x, y in combinations(names, 2):
-        table = contingency_table(data, (x, y))
-        h2[(x, y)] = entropy(table)
-        h2[(y, x)] = entropy(table.T)
-        mi_of[(x, y)] = _normalized_cmi(0.0, h[x], h[y], h2[(x, y)])
-        pairwise.append(ScoreEntry(x=x, y=y, z=None, mi_norm=mi_of[(x, y)]))
-    pairwise.sort(key=lambda e: (-e.mi_norm, e.x, e.y))
+    v = len(names)
+    h1, h2 = np.empty(v), np.empty((v, v))  # h2[i, j]: entropy of the pair table with axes (i, j)
+    triples, h3 = [np.empty((0, 3), dtype=np.intp)], [np.empty((0, 3))]
+    for positions, tables in contingency_stacks(data, names):
+        if positions.shape[1] == 1:
+            h1[positions[:, 0]] = _entropies(tables, [(0,)])[:, 0]
+        elif positions.shape[1] == 2:
+            h = _entropies(tables, [(0, 1), (1, 0)])
+            h2[positions[:, 0], positions[:, 1]], h2[positions[:, 1], positions[:, 0]] = h.T
+        else:
+            triples.append(positions)
+            h3.append(_entropies(tables, _TRIPLE_ENTRIES))
 
-    triple = []
-    for a, b, c in combinations(names, 3):
-        table = contingency_table(data, (a, b, c))
-        # the entries (a,b|c), (a,c|b) and (b,c|a), each with its table's axes
-        for (x, y, z), axes in (
-            ((a, b, c), (0, 1, 2)), ((a, c, b), (0, 2, 1)), ((b, c, a), (1, 2, 0)),
-        ):
-            hxyz = entropy(np.ascontiguousarray(table.transpose(axes)))
-            cmi = _normalized_cmi(h[z], h2[(x, z)], h2[(y, z)], hxyz)
-            mi = mi_of[(x, y)]
-            delta = cmi - mi
-            triple.append(
-                ScoreEntry(
-                    x=x, y=y, z=z, mi_norm=mi, cmi_norm=cmi,
-                    delta=delta, perc=_percent_gain(delta, mi),
-                )
-            )
-    triple.sort(key=lambda e: (-e.cmi_norm, e.x, e.y, e.z))
-    delta_entries = sorted(triple, key=lambda e: (-e.perc, e.x, e.y, e.z))
+    index_type = np.min_scalar_type(v - 1)
+    rank = np.empty(v, dtype=np.int64)  # each name's place in sorted order
+    rank[sorted(range(v), key=names.__getitem__)] = np.arange(v)
+    i, j = np.triu_indices(v, 1)
+    mi = np.zeros((v, v))
+    mi[i, j] = _normalized_cmi(0.0, h1[i], h1[j], h2[i, j])
+    order = np.lexsort((rank[i] * v + rank[j], -mi[i, j]))
+    i, j = i[order], j[order]
+    pairwise = ScoreTable("pairwise", tuple(names), i.astype(index_type), j.astype(index_type), None, mi[i, j])
 
-    return (
-        ScoreTable("pairwise", tuple(pairwise)),
-        ScoreTable("triple", tuple(triple)),
-        ScoreTable("delta", tuple(delta_entries)),
-    )
+    abc, h3 = np.concatenate(triples).astype(index_type).T, np.concatenate(h3)
+    x, y, z = (np.concatenate([abc[entry[k]] for entry in _TRIPLE_ENTRIES]) for k in range(3))
+    cmi = np.concatenate([
+        _normalized_cmi(h1[abc[zi]], h2[abc[xi], abc[zi]], h2[abc[yi], abc[zi]], h3[:, o])
+        for o, (xi, yi, zi) in enumerate(_TRIPLE_ENTRIES)
+    ])
+    del abc, h3
+    names_key = (rank[x] * v + rank[y]) * v + rank[z]
+    order = np.lexsort((names_key, -cmi))
+    x, y, z, cmi, names_key = x[order], y[order], z[order], cmi[order], names_key[order]
+    mi_xy = mi[x, y]
+    delta = cmi - mi_xy
+    perc = np.where(delta > 0.0, math.inf, 0.0)
+    np.divide(100.0 * delta, mi_xy, out=perc, where=mi_xy > 0.0)
+    triple = ScoreTable("triple", tuple(names), x, y, z, mi_xy, cmi, delta, perc)
+    order = np.lexsort((names_key, -perc))
+    del names_key
+    columns = (triple.x, triple.y, triple.z, triple.mi_norm, triple.cmi_norm, triple.delta, triple.perc)
+    return pairwise, triple, ScoreTable("delta", tuple(names), *(column[order] for column in columns))
 
 
 def histogram(scores: Sequence[float], bin_count: int) -> tuple[list[float], list[int]]:
@@ -190,7 +238,7 @@ def histogram(scores: Sequence[float], bin_count: int) -> tuple[list[float], lis
     lower bin, so every bin except the first is left-open and right-closed."""
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
-    vals = np.asarray(list(scores), dtype=float)
+    vals = np.asarray(scores, dtype=float)
     if vals.size == 0:
         raise ValueError("no scores to bin")
     lo, hi = float(vals.min()), float(vals.max())
@@ -215,14 +263,44 @@ def _fmt(v: float | None) -> str:
     return repr(float(v))
 
 
+# rows of a score table formatted at a time
+_WRITE_ROWS = 1 << 14
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it in a row of several fields: quoted when
+    it holds the delimiter, a quote or a line end."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text, ""])
+    return out.getvalue()[:-2]
+
+
+def _reprs(scores: np.ndarray) -> list[str]:
+    """repr() of each float of a column that repeats its values, as the MI'
+    column of the triple tables does (one value per pair): each distinct
+    bit pattern is formatted once."""
+    distinct, inverse = np.unique(scores.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+
+
 def write_score_table(table: ScoreTable, path: str | Path) -> None:
+    """The table as CSV: a header, then one line per row, each name as
+    csv.writer writes it and each score as repr() of its float, with the
+    columns the table does not have left empty. The lines are joined
+    _WRITE_ROWS rows at a time and written by one writelines."""
+    field = np.array([_csv_field(name) for name in table.names], dtype=object)
+
+    def lines(lo: int) -> str:
+        rows = slice(lo, lo + _WRITE_ROWS)
+        blank = [""] * len(table.x[rows])
+        columns = [blank if c is None else field[c[rows]].tolist() for c in (table.x, table.y, table.z)]
+        columns.append(_reprs(table.mi_norm[rows]))
+        columns += [blank if c is None else map(repr, c[rows].tolist()) for c in (table.cmi_norm, table.delta, table.perc)]
+        return "\n".join(map(",".join, zip(*columns))) + "\n"
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "z", "mi_norm", "cmi_norm", "delta", "perc"])
-        for e in table.entries:
-            writer.writerow(
-                [e.x, e.y, e.z or "", _fmt(e.mi_norm), _fmt(e.cmi_norm), _fmt(e.delta), _fmt(e.perc)]
-            )
+        fh.write("x,y,z,mi_norm,cmi_norm,delta,perc\n")
+        fh.writelines(map(lines, range(0, len(table), _WRITE_ROWS)))
 
 
 def write_histogram(edges: Sequence[float], counts: Sequence[int], path: str | Path) -> None:

@@ -17,7 +17,7 @@ from bnpipeline.bayesnet import Dag, read_structure, write_structure
 from bnpipeline.cli import _md_table, main
 from bnpipeline.config import ConfigError, dump_config, load_config, parse_config_text
 from bnpipeline.dataset import Dataset, Schema, VariableSpec, make_split, write_csv, write_schema
-from bnpipeline.simulate import sample_dataset
+from bnpipeline.simulate import benchmark_network, sample_dataset
 from test_bayesnet import five_state_chain
 
 DEMO = Path(__file__).resolve().parents[1] / "data"
@@ -378,6 +378,22 @@ class TestPipelinePhases:
             assert run(cmd, "--config", "pipeline.ini") == 0
         assert len(stored) == 5 + 10 + 10 and served
         assert not any(names in stored for names in counted)
+
+    def test_select_counts_ten_five_state_variables_in_a_few_passes(self, workspace, monkeypatch):
+        dag, schema, tables = benchmark_network()
+        write_csv(sample_dataset(dag, schema, tables, 20_000, seed=11), workspace / "ten.csv")
+        write_schema(schema, workspace / "ten.schema")
+        (workspace / "ten.ini").write_text(
+            CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
+            .replace("tiny.csv", "ten.csv").replace("tiny.schema", "ten.schema"),
+            encoding="utf-8",
+        )
+        passes, tally = [], dataset._tally
+        monkeypatch.setattr(dataset, "_tally", lambda index, size: passes.append(index.size) or tally(index, size))
+        assert run("select", "--config", "ten.ini") == 0
+        # a pass per table would be 10 + 45 + 120 = 175
+        assert 0 < len(passes) <= 25
+        assert len((workspace / "out" / "score_cmi.csv").read_text().splitlines()) == 1 + 3 * 120
 
     @pytest.mark.parametrize("damage", ["truncated", "one count changed", "short of a record", "another key"])
     def test_unusable_counts_file_is_counted_again(self, workspace, monkeypatch, damage):

@@ -251,6 +251,93 @@ class TestTableMemo:
         assert data._memo.tables == {}
 
 
+@st.composite
+def stack_cases(draw):
+    """(Dataset, names): 2-9 variables of 2-6 states, some of them constant,
+    and 1-3,000 rows, so that the blocks of contingency_stacks are single
+    variables on some and several on others, and the variables in a drawn
+    order."""
+    cards = draw(st.lists(st.integers(2, 6), min_size=2, max_size=9))
+    n = draw(st.integers(1, 3_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    constant = draw(st.lists(st.booleans(), min_size=len(cards), max_size=len(cards)))
+    schema = Schema(tuple(
+        VariableSpec(f"V{j}", tuple(str(k) for k in range(r)), "target" if j == 0 else "predictor")
+        for j, r in enumerate(cards)
+    ))
+    records = np.column_stack([
+        np.full(n, rng.integers(0, r)) if still else rng.integers(0, r, n) for r, still in zip(cards, constant)
+    ])
+    return Dataset(schema, records), draw(st.permutations(schema.names))
+
+
+def reference_tables(data, names):
+    """The per-table loop contingency_stacks stands for: every single, pair
+    and triple of names, in combinations order, one contingency_table call
+    each."""
+    for width in (1, 2, 3):
+        for combo in itertools.combinations(names, width):
+            contingency_table(data, combo)
+
+
+class TestContingencyStacks:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(case=stack_cases())
+    def test_every_table_equals_a_counting_pass_bit_for_bit(self, case):
+        data, names = case
+        seen = set()
+        for positions, tables in dataset.contingency_stacks(data, names):
+            assert tables.dtype == np.int64 and len(positions) == len(tables)
+            for row, table in zip(positions.tolist(), tables):
+                assert row == sorted(set(row)) and tuple(row) not in seen
+                seen.add(tuple(row))
+                fresh = fresh_count(data, [names[p] for p in row])
+                assert table.shape == fresh.shape and table.tobytes() == fresh.tobytes()
+        assert seen == {c for w in (1, 2, 3) for c in itertools.combinations(range(len(names)), w)}
+
+    def test_blocks_follow_the_records_per_cell(self):
+        assert dataset._blocks([5] * 10, 100_000) == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+        assert dataset._blocks([5] * 10, 15_625) == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+        assert dataset._blocks([5] * 10, 15_624) == [[i] for i in range(10)]
+        assert dataset._blocks([2, 2], 10**6) == [[0, 1]]
+        assert dataset._blocks([2, 50, 2, 2], 1_000) == [[0], [1], [2, 3]]
+
+    @pytest.mark.parametrize("cards, n, order, kept_first", [
+        ((3, 4), 50, None, None),  # two variables in one block
+        ((5,) * 6, 10_000, None, None),  # blocks of two; every table fits
+        ((5,) * 8, 40, None, None),  # single variables; the cells bound stops the triples
+        ((6, 6, 6, 2, 2, 2), 30, None, None),  # smaller triples fit after larger ones did not
+        ((4, 3, 2, 5, 2), 2_000, (3, 1, 4, 0, 2), (2, 0)),  # names permuted; one table already kept
+    ])
+    def test_kept_tables_and_counts_file_equal_the_per_table_loop(self, tmp_path, cards, n, order, kept_first):
+        schema = Schema(tuple(
+            VariableSpec(f"V{j}", tuple(str(k) for k in range(r)), "target" if j == 0 else "predictor")
+            for j, r in enumerate(cards)
+        ))
+        rng = np.random.default_rng(n)
+        write_csv(Dataset(schema, np.column_stack([rng.integers(0, r, n) for r in cards])), tmp_path / "d.csv")
+        names = [schema.names[i] for i in order] if order else list(schema.names)
+        outcome = []
+        for stacked in (True, False):
+            out = tmp_path / ("stacked" if stacked else "loop")
+            out.mkdir()
+            data = load_dataset(tmp_path / "d.csv", schema, out)
+            if kept_first:
+                contingency_table(data, [schema.names[i] for i in kept_first])
+            if stacked:
+                with mock.patch.object(dataset._TableMemo, "get", side_effect=AssertionError("a table served")):
+                    list(dataset.contingency_stacks(data, names))
+            else:
+                reference_tables(data, names)
+            dataset.store_counts(data, out)
+            kept = [(order, table.dtype, table.tobytes()) for order, table in data._memo.tables.values()]
+            (name,) = counts_files(out)
+            outcome.append((kept, name, (out / name).read_bytes()))
+        assert outcome[0] == outcome[1]
+        every = sum(math.prod(cards[schema.names.index(v)] for v in c) for w in (1, 2, 3) for c in itertools.combinations(names, w))
+        assert data._memo.cells <= data.records.size and (data._memo.cells < every) == (n * len(cards) < every)
+
+
 # cells with embedded delimiters and quotes, and an extra column E
 PARITY_STATES = {"A": ("x", "a,b", 'say "hi"'), "B": ("y", "w;v", "1"), "E": ("e", "f,g")}
 PARITY_SCHEMA = Schema((
@@ -673,6 +760,21 @@ class TestRecordsCache:
         assert parse.call_count == 1
         assert cache_files(out) == [name] and (out / name).read_bytes() == good
 
+    def test_zero_filled_file_of_the_right_name_and_length_is_a_miss(self, tmp_path):
+        # what a crash can leave of a file that was renamed into place but
+        # never reached the disk: its name and length, and zeros
+        path, out = tmp_path / "d.csv", tmp_path / "out"
+        out.mkdir()
+        path.write_text("A,B\nx,y\nz,w\nz,y\n", encoding="utf-8")
+        parsed = load_dataset(path, two_var_schema(), out)
+        (name,) = cache_files(out)
+        good = (out / name).read_bytes()
+        (out / name).write_bytes(bytes(len(good)))
+        with mock.patch.object(dataset, "ingest_csv", wraps=dataset.ingest_csv) as parse:
+            assert load_dataset(path, two_var_schema(), out) == parsed
+        assert parse.call_count == 1
+        assert cache_files(out) == [name] and (out / name).read_bytes() == good
+
     def test_extra_column_warning_shows_only_on_a_parse(self, tmp_path):
         path, out = tmp_path / "d.csv", tmp_path / "out"
         out.mkdir()
@@ -760,6 +862,15 @@ class TestCountsCache:
         path.write_text("A,B\nx,y\nz,w\nx,y\n", encoding="utf-8")
         assert kept_tables(load_dataset(path, two_var_schema(), out)) == []
 
+    def test_zero_filled_file_of_the_right_name_and_length_counts_as_absent(self, tmp_path):
+        path, out, data = self.stored(tmp_path)
+        (name,) = counts_files(out)
+        (out / name).write_bytes(bytes(len((out / name).read_bytes())))
+        loaded = load_dataset(path, two_var_schema(), out)
+        assert kept_tables(loaded) == []
+        for names in (("A",), ("B", "A")):
+            assert contingency_table(loaded, names).tolist() == contingency_table(data, names).tolist()
+
     @pytest.mark.parametrize("damage", [
         "empty", "truncated", "npy", "directory", "extra member", "members swapped", "compressed",
         "pickled", "one count changed", "int32 variables", "uint16 counts", "short of a record",
@@ -842,6 +953,18 @@ class TestEncode:
         for j, col in enumerate((column, [c[::-1] for c in column])):
             got = cells.encode(slice(2 + j, None, 2), states)
             assert got.tolist() == [states.index(c) if c in states else -1 for c in col]
+
+    @pytest.mark.parametrize("delimiter", [",", "\u00a7"])  # the UTF-8 and the UTF-32 path
+    @pytest.mark.parametrize("states", [
+        tuple(f"a{k}" for k in range(1, 10)),  # every label shares its first byte
+        ("a1", "a2", "b", "c3", "\u00e9", "\u00e8x", "d"),  # some do: a, and the UTF-8 lead byte of é and è
+        ("x", "y"),  # none does
+    ])
+    def test_labels_that_share_their_first_byte_or_not(self, states, delimiter):
+        column = [*states, *(s + "1" for s in states), *(s[:-1] for s in states), "a", "a0", "b1", "e", "\u00ea", ""]
+        text = f"A{delimiter}B\n" + "".join(f"{c}{delimiter}z\n" for c in column)
+        got = _CsvCells(text, delimiter).encode(slice(2, None, 2), states)
+        assert got.tolist() == [states.index(c) if c in states else -1 for c in column]
 
     def test_labels_that_differ_only_in_the_last_byte_of_each_word(self, tmp_path):
         states = tuple(f"xxxxxxx{a}xxxxxxx{b}" for a in "!Aa" for b in "!Aa")

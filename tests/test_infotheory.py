@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from bnpipeline.dataset import Dataset, Schema, VariableSpec, contingency_table
 from bnpipeline.infotheory import (
     ScoreTable,
+    _entropies,
     build_score_tables,
     conditional_mutual_information,
     entropy,
@@ -18,6 +20,8 @@ from bnpipeline.infotheory import (
     write_histogram,
     write_score_table,
 )
+
+from test_bayesnet import five_state_chain
 
 LN2 = math.log(2.0)
 
@@ -234,6 +238,16 @@ def score_problems(draw):
     return data, variables[: draw(st.integers(2, len(variables)))]
 
 
+def table_rows(table):
+    """(x, y, z, mi_norm, cmi_norm, delta, perc) of each row of a score
+    table, read from its columns: names, Python floats, and None for a
+    column the table does not have."""
+    none = [None] * len(table)
+    columns = [none if c is None else [table.names[i] for i in c.tolist()] for c in (table.x, table.y, table.z)]
+    columns += [none if c is None else c.tolist() for c in (table.mi_norm, table.cmi_norm, table.delta, table.perc)]
+    return list(zip(*columns))
+
+
 def reference_score_rows(data, names):
     """Score rows from each entry's own contingency table, sorted as documented."""
     mi = {}
@@ -264,7 +278,7 @@ class TestScoreTables:
         data, names = problem
         tables = build_score_tables(data, names)
         for table, expected in zip(tables, reference_score_rows(data, names)):
-            rows = [(e.x, e.y, e.z, e.mi_norm, e.cmi_norm, e.delta, e.perc) for e in table.entries]
+            rows = table_rows(table)
             assert rows == expected
 
     def test_duplicate_variables_rejected(self):
@@ -274,25 +288,25 @@ class TestScoreTables:
     def test_two_variable_counts(self):
         data = small_dataset(m=2)
         pairwise, triple, delta = build_score_tables(data)
-        assert len(pairwise.entries) == 1
-        assert len(triple.entries) == 0
-        assert len(delta.entries) == 0
+        assert len(pairwise) == 1
+        assert len(triple) == 0
+        assert len(delta) == 0
 
     def test_combinatorial_counts(self):
         data = small_dataset(m=5)
         pairwise, triple, delta = build_score_tables(data)
         m = 5
-        assert len(pairwise.entries) == m * (m - 1) // 2
-        assert len(triple.entries) == m * (m - 1) * (m - 2) // 2
-        assert len(delta.entries) == len(triple.entries)
+        assert len(pairwise) == m * (m - 1) // 2
+        assert len(triple) == m * (m - 1) * (m - 2) // 2
+        assert len(delta) == len(triple)
 
     def test_sorted_descending(self):
         pairwise, triple, delta = build_score_tables(small_dataset(m=5))
-        mi = [e.mi_norm for e in pairwise.entries]
+        mi = pairwise.mi_norm.tolist()
         assert mi == sorted(mi, reverse=True)
-        cmi = [e.cmi_norm for e in triple.entries]
+        cmi = triple.cmi_norm.tolist()
         assert cmi == sorted(cmi, reverse=True)
-        perc = [e.perc for e in delta.entries]
+        perc = delta.perc.tolist()
         assert perc == sorted(perc, reverse=True)
 
     def test_relative_gain_from_rounded_scores(self):
@@ -307,12 +321,50 @@ class TestScoreTables:
         write_score_table(pairwise, tmp_path / "mi.csv")
         lines = (tmp_path / "mi.csv").read_text().splitlines()
         assert lines[0] == "x,y,z,mi_norm,cmi_norm,delta,perc"
-        assert len(lines) == 1 + len(pairwise.entries)
+        assert len(lines) == 1 + len(pairwise)
         # pairwise rows leave the conditional columns empty
         assert lines[1].split(",")[2] == ""
         write_score_table(triple, tmp_path / "cmi.csv")
         first = (tmp_path / "cmi.csv").read_text().splitlines()[1].split(",")
         assert first[2] != ""
+
+
+class TestStackedEntropies:
+    @pytest.mark.parametrize("shape", [(9,), (3, 3), (2, 2, 3), (4, 6), (2, 3, 4), (5, 5, 5), (6, 6, 6), (30, 30, 12)])
+    def test_bit_for_bit_equal_to_entropy_on_tables_with_zeros(self, shape):
+        rng = np.random.default_rng(math.prod(shape))
+        cells = math.prod(shape)
+        k = 60 if cells < 1_000 else 6
+        draws = [rng.multinomial(int(rng.integers(1, 3 * cells)), rng.dirichlet(np.full(cells, 0.3))) for _ in range(k)]
+        tables = np.array(draws).reshape(k, *shape)
+        tables[:, 0] = 0  # every table holds zeros, and counts something
+        tables.reshape(k, -1)[:, -1] += 1
+        tables[0] = 0
+        tables[0].flat[-1] = 7  # one nonzero cell: an entropy of -0.0
+        orders = list(itertools.permutations(range(len(shape))))
+        got = _entropies(tables, orders)
+        for table, row in zip(tables, got):
+            for order, h in zip(orders, row.tolist()):
+                want = entropy(table.transpose(order))
+                assert h == want and math.copysign(1.0, h) == math.copysign(1.0, want)
+
+
+class TestScoreTablesOnAChain:
+    def test_pairs_and_a_sample_of_triples_equal_their_own_tables(self):
+        _, data = five_state_chain(40, 2000, seed=40)
+        pairwise, triple, _ = build_score_tables(data)
+        fresh = Dataset(data.schema, data.records)  # counts each reference table itself
+        rows = table_rows(pairwise)
+        assert len(rows) == 40 * 39 // 2
+        for x, y, *rest in rows:
+            assert list(map(repr, rest)) == ["None", repr(normalized_mi(contingency_table(fresh, (x, y))))] + ["None"] * 3
+        rows = table_rows(triple)
+        for r in np.random.default_rng(40).choice(len(rows), 500, replace=False).tolist():
+            x, y, z, mi, cmi, delta, perc = rows[r]
+            want_mi = normalized_mi(contingency_table(fresh, (x, y)))
+            want_cmi = normalized_cmi(contingency_table(fresh, (x, y, z)))
+            want_perc = 100.0 * (want_cmi - want_mi) / want_mi if want_mi > 0.0 else (math.inf if want_cmi > want_mi else 0.0)
+            assert list(map(repr, (mi, cmi, delta, perc))) == list(map(repr, (want_mi, want_cmi, want_cmi - want_mi, want_perc)))
 
 
 class TestHistogram:
