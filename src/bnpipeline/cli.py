@@ -133,6 +133,17 @@ def cmd_select(cfg: PipelineConfig) -> None:
 # phase 2: structure learning
 # ---------------------------------------------------------------------------
 
+def _covering(dag: bayesnet.Dag, data: Dataset, what: str) -> bayesnet.Dag:
+    """dag, if its nodes are exactly the selected variables of data; else a
+    DataError naming what, the structure's label or file."""
+    if set(dag.nodes) != set(data.schema.names):
+        raise DataError(
+            f"structure {what} covers {sorted(dag.nodes)} but the selected "
+            f"variables are {sorted(data.schema.names)}"
+        )
+    return dag
+
+
 def _learn_candidates(cfg: PipelineConfig, data: Dataset) -> list[structlearn.CandidateModel]:
     target = data.schema.target
     constraints = (
@@ -161,12 +172,7 @@ def _learn_candidates(cfg: PipelineConfig, data: Dataset) -> list[structlearn.Ca
         except (ValueError, structlearn.ConstraintError) as exc:
             raise DataError(f"learner {learner!r} failed: {exc}") from exc
     for label, path in cfg.user_structures:
-        dag = bayesnet.read_structure(path)
-        if set(dag.nodes) != set(data.schema.names):
-            raise DataError(
-                f"structure {label!r} covers {sorted(dag.nodes)} but the selected "
-                f"variables are {sorted(data.schema.names)}"
-            )
+        dag = _covering(bayesnet.read_structure(path), data, repr(label))
         candidates.append(structlearn.CandidateModel(label, dag, {"algorithm": "user", "path": path}))
     return candidates
 
@@ -211,7 +217,7 @@ def _stored_candidates(cfg: PipelineConfig, data: Dataset) -> list[structlearn.C
         raise ConfigError(f"no structures directory under {cfg.out_dir}; run learn first")
     candidates = []
     for path in sorted(structures.glob("*.structure")):
-        dag = bayesnet.read_structure(path)
+        dag = _covering(bayesnet.read_structure(path), data, str(path))
         candidates.append(structlearn.CandidateModel(path.stem, dag, {"path": str(path)}))
     if not candidates:
         raise ConfigError(f"no structures found under {structures}; run learn first")
@@ -298,7 +304,7 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
     split = make_split(
         data.n_records, cfg.test_fraction, cfg.fold_count, cfg.fold_fraction, cfg.seed
     )
-    summary, preds, network = evaluation.final_evaluation(
+    summary, probs, truths, network = evaluation.final_evaluation(
         best, data, split, alpha0=cfg.alpha0, literal_rmse=cfg.literal_rmse
     )
     target = data.schema.target
@@ -313,7 +319,7 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
     traces = _make_dir(out / "traces")
     write_split_plan(split, out / "split_plan.csv")
     bayesnet.write_fitted_network(network, out / "fitted_network.csv")
-    mcmc.write_predictions(preds, data.schema.spec(target), out / "predictions.csv")
+    mcmc.write_predictions(probs, truths, data.schema.spec(target), out / "predictions.csv")
     evaluation.write_final_metrics(summary, out / "final_metrics.csv")
     mcmc.export_traces(draws, {n: network.cpts[n].posterior for n in draws}, traces)
     with open(out / "rhat.csv", "w", newline="", encoding="utf-8") as fh:

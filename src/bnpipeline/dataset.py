@@ -1,4 +1,4 @@
-"""Categorical datasets: schemas, CSV ingestion, quantile discretization, splits.
+"""Categorical datasets: schemas, CSV ingestion, count tables, splits.
 
 Variables are declared up front in a schema; every record cell is an index
 into the declared state list of its variable. State spaces come from the
@@ -53,10 +53,6 @@ class UnknownState(DataError):
         self.variable = variable
         self.value = value
         self.row = row
-
-
-class DegenerateBinning(DataError):
-    pass
 
 
 class SplitError(DataError):
@@ -208,12 +204,6 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return self.schema == other.schema and np.array_equal(self.records, other.records)
-
-
-@dataclass(frozen=True)
-class CsvOptions:
-    delimiter: str = ","
-    encoding: str = "utf-8"
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,13 +496,13 @@ def content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def read_text(path: str | Path, encoding: str = "utf-8") -> str:
-    """The text of an input file, line ends untouched. Bytes the encoding
-    cannot decode are a DataError naming the file."""
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file, line ends untouched. Bytes that are
+    not UTF-8 are a DataError naming the file."""
     try:
-        return Path(path).read_bytes().decode(encoding)
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: byte {exc.start} is not valid {encoding} ({exc.reason})") from None
+        raise DataError(f"{path}: byte {exc.start} is not valid utf-8 ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +544,18 @@ def write_schema(schema: Schema, path: str | Path) -> None:
 # CSV ingestion / emission
 # ---------------------------------------------------------------------------
 
-def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = None) -> Dataset:
+def ingest_csv(path: str | Path, schema: Schema) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
-    The dialect: cells are split on the delimiter; rows end at LF, CRLF or a
-    lone CR; an empty line is a row of no cells; a last line without a line
-    end is still a row. A cell holding a quote must be quoted whole, with
-    each inner quote doubled; anything else is a DataError naming the row
-    ("malformed quoting", or "unterminated quoted field" for a quote still
-    open at the end of the file). No cell has a size limit. Bytes the
-    encoding cannot decode are a DataError naming the file.
+    The dialect: the file is UTF-8, after one optional byte-order mark
+    (EF BB BF, which spreadsheet programs write first); cells are split on
+    commas; rows end at LF, CRLF or a lone CR; an empty line is a row of no
+    cells; a last line without a line end is still a row. A cell holding a
+    quote must be quoted whole, with each inner quote doubled; anything else
+    is a DataError naming the row ("malformed quoting", or "unterminated
+    quoted field" for a quote still open at the end of the file). No cell
+    has a size limit. Bytes that are not UTF-8 are a DataError naming the
+    file.
 
     Columns are matched to schema variables by header name, in any order.
     Columns not named in the schema are skipped with a warning. Any cell
@@ -575,11 +567,10 @@ def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = No
     first offending row in the file: its quoting if that is broken, else its
     width if that is wrong, else its first unknown state in schema order.
     """
-    opts = options or CsvOptions()
-    text = read_text(path, opts.encoding)
+    text = read_text(path).removeprefix("\ufeff")
     if not text:
         raise DataError(f"{path}: empty file")
-    cells = _CsvCells(text, opts.delimiter)
+    cells = _CsvCells(text)
     del text
     if cells.fault is not None and cells.fault[0] == 0:
         raise DataError(f"{path}: header row: {cells.fault[1]}")
@@ -627,24 +618,21 @@ def ingest_csv(path: str | Path, schema: Schema, options: CsvOptions | None = No
 _RECORDS_FORMAT = b"bnpipeline records: state indices, npy"
 
 
-def _records_key(path: str | Path, schema: Schema, options: CsvOptions | None = None) -> str:
+def _records_key(path: str | Path, schema: Schema) -> str:
     """Hex SHA-256 over what decides the records ingest_csv makes of a CSV:
     the format tag, the file's raw bytes, the schema's variables (names,
-    states in order, roles), the delimiter and the encoding, each part
-    prefixed by its length so that no two inputs hash the same parts."""
-    opts = options or CsvOptions()
+    states in order, roles) and ingest_csv's dialect (b"," and b"utf-8"),
+    each part prefixed by its length so that no two inputs hash the same
+    parts."""
     variables = repr([(v.name, v.states, v.role) for v in schema.variables])
     digest = hashlib.sha256()
-    for part in (_RECORDS_FORMAT, Path(path).read_bytes(), variables.encode(),
-                 opts.delimiter.encode(), opts.encoding.encode()):
+    for part in (_RECORDS_FORMAT, Path(path).read_bytes(), variables.encode(), b",", b"utf-8"):
         digest.update(len(part).to_bytes(8, "little"))
         digest.update(part)
     return digest.hexdigest()
 
 
-def load_dataset(
-    path: str | Path, schema: Schema, out_dir: str | Path, options: CsvOptions | None = None
-) -> Dataset:
+def load_dataset(path: str | Path, schema: Schema, out_dir: str | Path) -> Dataset:
     """ingest_csv's Dataset of a CSV, parsed once per input: its records
     are kept in out_dir as records-<_records_key>-<SHA-256 of the array's
     data bytes>.npy, in the smallest unsigned dtype that holds the schema's
@@ -672,8 +660,8 @@ def load_dataset(
     number of records.
     """
     out_dir = Path(out_dir)
-    key = _records_key(path, schema, options)
-    data = _cached_records(path, schema, out_dir, options, key)
+    key = _records_key(path, schema)
+    data = _cached_records(path, schema, out_dir, key)
     data._memo.key = key
     for cached in out_dir.glob(f"counts-{key}-*.npz"):
         try:
@@ -686,7 +674,7 @@ def load_dataset(
     return data
 
 
-def _cached_records(path: str | Path, schema: Schema, out_dir: Path, options: CsvOptions | None, key: str) -> Dataset:
+def _cached_records(path: str | Path, schema: Schema, out_dir: Path, key: str) -> Dataset:
     named = lambda records: f"records-{key}-{hashlib.sha256(records.ravel(order='F')).hexdigest()}.npy"
     dtype = np.min_scalar_type(max(v.cardinality for v in schema.variables) - 1)
     for cached in out_dir.glob(f"records-{key}-*.npy"):
@@ -699,7 +687,7 @@ def _cached_records(path: str | Path, schema: Schema, out_dir: Path, options: Cs
             # absent, or not a file this function wrote (numpy's npy header
             # parser raises TokenError on some damaged headers): parse again
             pass
-    data = ingest_csv(path, schema, options)
+    data = ingest_csv(path, schema)
     stored = data.records.astype(dtype, order="F")
     _replace_file(out_dir, named(stored), lambda fh: np.save(fh, stored), "records-*.npy")
     return data
@@ -823,16 +811,16 @@ def _stored_npy(archive: zipfile.ZipFile, name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype, offset=stream.tell()).reshape(shape)
 
 
-_QUOTE, _LF, _CR = ord('"'), ord("\n"), ord("\r")
+_QUOTE, _LF, _CR, _COMMA = ord('"'), ord("\n"), ord("\r"), ord(",")
 
 
 class _CsvCells:
     """The cells of a decoded CSV text, split by one pass of numpy over its
-    code units: the UTF-8 bytes when the delimiter is ASCII (no multi-byte
-    sequence holds an ASCII byte), else the UTF-32 code points.
+    UTF-8 bytes: no multi-byte sequence holds an ASCII byte, so each comma,
+    quote and line-end byte is that character.
 
-    Quote parity is a running xor of the quote mask; delimiters and line
-    ends count only outside quotes. Cell c spans units start[c] up to
+    Quote parity is a running xor of the quote mask; commas and line
+    ends count only outside quotes. Cell c spans bytes start[c] up to
     start[c] + length[c] (a quoted cell's span is its inside); row r holds
     cells first[r] up to first[r + 1]. A cell quoted whole with no quote
     inside is unquoted in numpy; only the other cells holding a quote are
@@ -842,10 +830,9 @@ class _CsvCells:
     None; cells after it are left as split.
     """
 
-    def __init__(self, text: str, delimiter: str):
-        self._codec = "utf-8" if ord(delimiter) < 128 else "utf-32-le"
-        self._bytes = text.encode(self._codec)
-        self.units = units = np.frombuffer(self._bytes, dtype=np.uint8 if self._codec == "utf-8" else "<u4")
+    def __init__(self, text: str):
+        self._bytes = text.encode("utf-8")
+        self.units = units = np.frombuffer(self._bytes, dtype=np.uint8)
         size = units.size
         pos_type = np.int32 if size < 2**31 - 1 else np.int64
 
@@ -858,7 +845,7 @@ class _CsvCells:
             cr[:-1] &= ~ends[1:]  # a lone CR ends a line too
             ends |= cr
         del cr
-        sep = units == ord(delimiter)
+        sep = units == _COMMA
         sep |= ends
         quote = np.zeros(size + 1, dtype=bool)  # one past the end, for an empty last cell
         np.equal(units, _QUOTE, out=quote[:-1])
@@ -920,9 +907,8 @@ class _CsvCells:
             return
 
     def _span(self, c: int) -> str:
-        unit = self.units.itemsize
-        s = int(self.start[c]) * unit
-        return self._bytes[s : s + int(self.length[c]) * unit].decode(self._codec)
+        s = int(self.start[c])
+        return self._bytes[s : s + int(self.length[c])].decode("utf-8")
 
     def value(self, c: int) -> str:
         return self.unescaped[c] if c in self.unescaped else self._span(c)
@@ -931,36 +917,34 @@ class _CsvCells:
         """Index in states of the value of each cell in a slice, or -1.
 
         Each cell is gathered up to the longest label's length and padded to
-        whole 64-bit words with a unit no text holds (0xFF is no UTF-8 byte,
-        0xFFFFFFFF no code point), and so is each label; a cell is a label
-        when the two keys are equal. So neither a NUL nor a prefix aliases a
-        label, and a longer cell costs no more. A 256-entry table of the
+        whole 64-bit words with 0xFF, which is no UTF-8 byte, and so is each
+        label; a cell is a label when the two keys are equal. So neither a
+        NUL nor a prefix aliases a label, and a longer cell costs no more. A 256-entry table of the
         labels' first bytes names the one label a cell can be when no other
         label starts with the cell's first byte, and its key is compared
         with that label's; only the cells whose first byte starts several
         labels are found by a search over the sorted labels."""
-        units = self.units
-        pad = np.iinfo(units.dtype).max
-        coded = [np.frombuffer(s.encode(self._codec), dtype=units.dtype) for s in states]
+        units, pad = self.units, 0xFF
+        coded = [np.frombuffer(s.encode("utf-8"), dtype=np.uint8) for s in states]
         width = max(map(len, coded))
-        row = -(-width * units.itemsize // 8) * 8 // units.itemsize  # units per key
-        key_type = np.uint64 if row * units.itemsize == 8 else f"S{row * units.itemsize}"
-        labels = np.full((len(coded), row), pad, dtype=units.dtype)
+        row = -(-width // 8) * 8  # bytes per key
+        key_type = np.uint64 if row == 8 else f"S{row}"
+        labels = np.full((len(coded), row), pad, dtype=np.uint8)
         for k, label in enumerate(coded):
             labels[k, : label.size] = label
         by_first = np.full(256, -1, dtype=np.int64)  # the label with this first byte; -2: several
-        for k, byte in enumerate(labels.view(np.uint8)[:, 0].tolist()):
+        for k, byte in enumerate(labels[:, 0].tolist()):
             by_first[byte] = k if by_first[byte] == -1 else -2
         labels = labels.view(key_type).ravel()
 
         start = self.start[cells]
         length = self.length[cells]
-        keys = np.full((start.size, row), pad, dtype=units.dtype)
+        keys = np.full((start.size, row), pad, dtype=np.uint8)
         for i in range(width):
             column = keys[:, i]
             np.take(units, start + i, out=column, mode="clip")
             column[length <= i] = pad
-        candidate = by_first[keys.view(np.uint8)[:, 0]]
+        candidate = by_first[keys[:, 0]]
         keys = keys.view(key_type).ravel()
         shared = np.flatnonzero(candidate == -2)
         if shared.size:
@@ -975,69 +959,13 @@ class _CsvCells:
         return codes
 
 
-def write_csv(data: Dataset, path: str | Path, options: CsvOptions | None = None) -> None:
-    opts = options or CsvOptions()
-    with open(path, "w", newline="", encoding=opts.encoding) as fh:
-        writer = csv.writer(fh, delimiter=opts.delimiter, lineterminator="\n")
+def write_csv(data: Dataset, path: str | Path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(data.schema.names)
         states = [spec.states for spec in data.schema.variables]
         for row in data.records:
             writer.writerow([states[j][row[j]] for j in range(len(states))])
-
-
-# ---------------------------------------------------------------------------
-# equal-frequency discretization
-# ---------------------------------------------------------------------------
-
-def discretize_equal_frequency(
-    values: Sequence[float], k: int, direction: str = "ascending"
-) -> tuple[list[float], list[int]]:
-    """Split numeric values into k near-equal buckets at empirical quantiles.
-
-    Cut points are type-1 empirical quantiles at i/k for i = 1..k-1; a value
-    equal to a cut point goes to the lower bucket. Bucket labels are 1..k.
-    With direction="ascending" bucket 1 holds the smallest values; with
-    "descending" bucket 1 holds the top fraction instead.
-    """
-    if direction not in ("ascending", "descending"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if k < 2:
-        raise ValueError("bucket count must be at least 2")
-    vals = np.asarray(list(values), dtype=float)
-    if vals.size == 0:
-        raise ValueError("no values to discretize")
-    if np.unique(vals).size < k:
-        raise DegenerateBinning(
-            f"cannot form {k} non-empty buckets from {np.unique(vals).size} distinct values"
-        )
-    ordered = np.sort(vals)
-    n = vals.size
-    # type-1 empirical quantile: Q(p) = x_(ceil(n*p)) on the sorted sample
-    thresholds = [float(ordered[int(np.ceil(n * i / k)) - 1]) for i in range(1, k)]
-    return thresholds, apply_thresholds(vals, thresholds, direction)
-
-
-def apply_thresholds(
-    values: Sequence[float], thresholds: Sequence[float], direction: str = "ascending"
-) -> list[int]:
-    """Bucket labels 1..len(thresholds)+1 for externally chosen cut points.
-
-    Same tie rule as discretize_equal_frequency: a value equal to a cut point
-    goes to the lower bucket. Use this when the cut points come from domain
-    experts rather than from the sample quantiles.
-    """
-    if direction not in ("ascending", "descending"):
-        raise ValueError(f"unknown direction {direction!r}")
-    cuts = np.asarray(list(thresholds), dtype=float)
-    if cuts.size == 0:
-        raise ValueError("no thresholds given")
-    if np.any(np.diff(cuts) < 0):
-        raise ValueError("thresholds must be non-decreasing")
-    vals = np.asarray(list(values), dtype=float)
-    k = cuts.size + 1
-    ascending = np.searchsorted(cuts, vals, side="left") + 1
-    labels = (k + 1 - ascending) if direction == "descending" else ascending
-    return [int(b) for b in labels]
 
 
 # ---------------------------------------------------------------------------

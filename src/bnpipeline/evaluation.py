@@ -18,7 +18,6 @@ import numpy as np
 
 from .bayesnet import Cpt, Dag, FittedNetwork, family_counts, fit_conjugate, posterior_marginal, subtract_counts
 from .dataset import Dataset, SplitPlan, numeric_state_values
-from .mcmc import PosteriorPredictive, predictions
 from .structlearn import CandidateModel
 
 
@@ -74,22 +73,6 @@ def metrics(pred: Sequence[float], truth: Sequence[float], literal_rmse: bool = 
         accuracy=correct / p.size,
         rmse=rmse,
     )
-
-
-def evidence_records(
-    data: Dataset, rows: Sequence[int], target: str
-) -> tuple[list[dict[str, int]], list[int]]:
-    """Per-row evidence dicts (every variable but the target) plus true target states."""
-    names = [n for n in data.schema.names if n != target]
-    cols = {n: data.schema.index(n) for n in names}
-    t_col = data.schema.index(target)
-    records = []
-    truths = []
-    for i in rows:
-        row = data.records[i]
-        records.append({n: int(row[c]) for n, c in cols.items()})
-        truths.append(int(row[t_col]))
-    return records, truths
 
 
 @dataclass(frozen=True)
@@ -178,18 +161,19 @@ def final_evaluation(
     split: SplitPlan,
     alpha0: float = 1.0,
     literal_rmse: bool = False,
-) -> tuple[Metrics, list[PosteriorPredictive], FittedNetwork]:
+) -> tuple[Metrics, np.ndarray, np.ndarray, FittedNetwork]:
     """Retrain on the full training split (_training_fit) and score the
-    held-out test set."""
+    held-out test set: its metrics, each test row's target distribution
+    (one row of probabilities per record), their true target states and the
+    network."""
     target = data.schema.target
-    spec = data.schema.spec(target)
-    values = np.asarray(numeric_state_values(spec))
+    values = np.asarray(numeric_state_values(data.schema.spec(target)))
     test = data.subset(split.test_idx)
     network = _training_fit(best.dag, data, test, alpha0)
     truths = test.column(target)
     probs = posterior_marginal(network, test.records, (target,))
     summary = metrics(values[probs.argmax(axis=1)], values[truths], literal_rmse=literal_rmse)
-    return summary, predictions(probs, spec, truths), network
+    return summary, probs, truths, network
 
 
 def write_cv_csv(cv: CvResult, path: str | Path) -> None:

@@ -126,23 +126,9 @@ def sample_parameters(
 # posterior prediction
 # ---------------------------------------------------------------------------
 
-def predictions(
-    probs: np.ndarray, spec: VariableSpec, true_states: Sequence[int] | None = None
-) -> list[PosteriorPredictive]:
-    """One PosteriorPredictive per row of target distributions over spec's states."""
-    values = numeric_state_values(spec)
-    return [
-        PosteriorPredictive(
-            i, p, *summarize_distribution(p, values),
-            true_state=None if true_states is None else int(true_states[i]),
-        )
-        for i, p in enumerate(probs)
-    ]
-
-
 def posterior_predict(
     network: FittedNetwork,
-    evidence_records: Sequence[Mapping[str, int]],
+    evidence: Sequence[Mapping[str, int]],
     config: McmcConfig | None = None,
     mode: str = "exact",
     target: str | None = None,
@@ -157,10 +143,10 @@ def posterior_predict(
         raise ValueError(f"unknown mode {mode!r}")
     schema = network.schema
     tgt = target if target is not None else schema.target
-    if true_states is not None and len(true_states) != len(evidence_records):
-        raise ValueError("true_states length must match evidence_records")
-    matrix = np.full((len(evidence_records), len(schema.names)), -1, dtype=np.int64)
-    for i, record in enumerate(evidence_records):
+    if true_states is not None and len(true_states) != len(evidence):
+        raise ValueError("true_states length must match evidence")
+    matrix = np.full((len(evidence), len(schema.names)), -1, dtype=np.int64)
+    for i, record in enumerate(evidence):
         if tgt in record:
             raise ValueError("evidence must not include the target variable")
         try:
@@ -168,23 +154,29 @@ def posterior_predict(
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
     probs = posterior_marginal(network, matrix, (tgt,), max_states)
-    return predictions(probs, schema.spec(tgt), true_states)
+    values = numeric_state_values(schema.spec(tgt))
+    return [
+        PosteriorPredictive(
+            i, p, *summarize_distribution(p, values),
+            true_state=None if true_states is None else int(true_states[i]),
+        )
+        for i, p in enumerate(probs)
+    ]
 
 
-def write_predictions(
-    predictions: Sequence[PosteriorPredictive], spec: VariableSpec, path: str | Path
-) -> None:
-    """CSV with one row per record: per-state percent (2 decimals), mean,
-    modal prediction, and the true state when known."""
+def write_predictions(probs: np.ndarray, truths: Sequence[int], spec: VariableSpec, path: str | Path) -> None:
+    """CSV with one row per record, from its target distribution over
+    spec's states (a row of probs) and its true state: per-state percent (2
+    decimals), mean, modal prediction (summarize_distribution) and the true
+    state."""
+    values = numeric_state_values(spec)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"state_{s}" for s in spec.states] + ["mean", "predicted", "true"])
-        for p in predictions:
-            row = [f"{100.0 * x:.2f}" for x in p.probs]
-            row.append(f"{p.mean:.4f}")
-            row.append(spec.states[p.predicted])
-            row.append("" if p.true_state is None else spec.states[p.true_state])
-            writer.writerow(row)
+        for p, truth in zip(probs, truths):
+            mean, predicted = summarize_distribution(p, values)
+            row = [f"{100.0 * x:.2f}" for x in p]
+            writer.writerow([*row, f"{mean:.4f}", spec.states[predicted], spec.states[truth]])
 
 
 # ---------------------------------------------------------------------------

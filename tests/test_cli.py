@@ -605,6 +605,21 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("data error: bad.constraints:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edges", ["T -> ZZZ", "T -> P"], ids=["unknown variable", "two nodes"])
+    def test_stored_structure_that_does_not_cover_the_selection_is_3(self, workspace, capsys, edges):
+        # a structure file added under out/structures after learn: one naming
+        # a variable the data lack, or covering only some of the selected ones
+        for cmd in ("select", "learn"):
+            assert run(cmd, "--config", "pipeline.ini") == 0
+        bad = Path("out") / "structures" / "bad.structure"
+        bad.write_text(f"{edges}\n", encoding="utf-8")
+        capsys.readouterr()
+        for cmd in ("compare", "cv"):
+            assert run(cmd, "--config", "pipeline.ini") == 3
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and err.count("\n") == 1
+            assert err.startswith(f"data error: structure {bad} covers ")
+
     def test_learn_on_twelve_five_state_variables(self, workspace):
         names = [f"V{i:02d}" for i in range(12)]
         states = ("1", "2", "3", "4", "5")

@@ -14,10 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnpipeline.dataset import (
-    CsvOptions,
     DataError,
     Dataset,
-    DegenerateBinning,
     MissingColumn,
     Schema,
     SchemaError,
@@ -25,9 +23,7 @@ from bnpipeline.dataset import (
     SplitPlan,
     UnknownState,
     VariableSpec,
-    apply_thresholds,
     contingency_table,
-    discretize_equal_frequency,
     ingest_csv,
     load_dataset,
     make_split,
@@ -40,6 +36,7 @@ from bnpipeline.dataset import (
 from bnpipeline import dataset
 from bnpipeline.dataset import _CsvCells
 
+DEMO = Path(__file__).resolve().parents[1] / "data"
 
 def two_var_schema():
     return Schema((
@@ -348,7 +345,7 @@ PARITY_SCHEMA = Schema((
 
 @st.composite
 def csv_cases(draw):
-    """(header, rows, delimiter, line terminator, quoting): a header-only file
+    """(header, rows, line terminator, quoting): a header-only file
     when rows is empty; cells are mostly valid, with unknown states and ragged
     rows mixed in."""
     header = list(draw(st.permutations(draw(st.sampled_from((("A", "B"), ("A", "B", "E")))))))
@@ -360,24 +357,23 @@ def csv_cases(draw):
     return (
         header,
         rows,
-        draw(st.sampled_from((",", ";", "\u00a6"))),
         draw(st.sampled_from(("\n", "\r\n", "\r"))),
         draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL))),
     )
 
 
 def write_case(path, case):
-    header, rows, delimiter, terminator, quoting = case
+    header, rows, terminator, quoting = case
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator=terminator, quoting=quoting)
+        writer = csv.writer(fh, lineterminator=terminator, quoting=quoting)
         writer.writerows([header, *rows])
 
 
-def reference_outcome(path, delimiter):
+def reference_outcome(path):
     """Row-by-row encoder: the first row that is ragged or holds an unknown
     state (first schema variable in the row) decides the error."""
     with open(path, newline="", encoding="utf-8") as fh:
-        header, *body = csv.reader(fh, delimiter=delimiter)
+        header, *body = csv.reader(fh)
     encoded = []
     for row_num, cells in enumerate(body, 1):
         if len(cells) != len(header):
@@ -392,11 +388,11 @@ def reference_outcome(path, delimiter):
     return ("ok", encoded)
 
 
-def ingest_outcome(path, delimiter):
+def ingest_outcome(path):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            data = ingest_csv(path, PARITY_SCHEMA, CsvOptions(delimiter=delimiter))
+            data = ingest_csv(path, PARITY_SCHEMA)
     except UnknownState as exc:
         return ("unknown", exc.variable, exc.value, exc.row)
     except DataError as exc:
@@ -492,10 +488,40 @@ class TestIngest:
         assert (tmp_path / "d2.csv").read_bytes() == path.read_bytes()
 
     def test_semicolon_delimiter(self, tmp_path):
+        # cells are split on commas only: a semicolon is text of its cell
         path = tmp_path / "d.csv"
         path.write_text("A;B\nx;y\n")
-        data = ingest_csv(path, two_var_schema(), CsvOptions(delimiter=";"))
-        assert data.n_records == 1
+        with pytest.raises(MissingColumn, match="no column for variable 'A'"):
+            ingest_csv(path, two_var_schema())
+
+    def test_byte_order_mark(self, tmp_path):
+        # the UTF-8 byte-order mark spreadsheet programs write first is not
+        # part of the first column's name
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (DEMO / "synthetic.csv").read_bytes())
+        schema = read_schema(DEMO / "synthetic.schema")
+        assert ingest_csv(path, schema) == ingest_csv(DEMO / "synthetic.csv", schema)
+        path.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(DataError, match="empty file"):
+            ingest_csv(path, schema)
+
+    def test_only_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # a second mark, or one inside a cell, is text
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeff\ufeffA,B\nx,y\n", encoding="utf-8")
+        with pytest.raises(MissingColumn, match="no column for variable 'A'"):
+            ingest_csv(path, two_var_schema())
+        path.write_text("\ufeffA,B\nx,y\n\ufeffx,y\n", encoding="utf-8")
+        with pytest.raises(UnknownState) as info:
+            ingest_csv(path, two_var_schema())
+        assert (info.value.variable, info.value.value, info.value.row) == ("A", "\ufeffx", 2)
+
+    def test_bytes_that_are_not_utf8_after_a_byte_order_mark(self, tmp_path):
+        # the offset in the message counts the file's bytes, the mark's too
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfA,B\n\xff,y\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: byte 7 is not valid utf-8")):
+            ingest_csv(path, two_var_schema())
 
     def test_survey_sized_file(self, tmp_path):
         # 234 records over ten variables, the scale the pipeline was sized for
@@ -545,8 +571,7 @@ class TestIngest:
     def test_matches_row_by_row_reference(self, parity_dir, case):
         path = parity_dir / "d.csv"
         write_case(path, case)
-        delimiter = case[2]
-        assert ingest_outcome(path, delimiter) == reference_outcome(path, delimiter)
+        assert ingest_outcome(path) == reference_outcome(path)
 
 
     @pytest.mark.parametrize("body, fault", [
@@ -596,10 +621,11 @@ class TestIngest:
         path.write_text("A,B\n1,y\n1\x00,w\n", encoding="utf-8")
         assert ingest_csv(path, schema).records.tolist() == [[1, 0], [0, 1]]
 
-    @pytest.mark.parametrize("delimiter", [",", "\u00a6"])
-    def test_non_ascii_labels_and_delimiter(self, tmp_path, delimiter):
-        # an ASCII delimiter scans UTF-8 bytes, any other one code points; a
-        # label over 8 bytes (or 2 code points) spans more than one key word
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order mark"])
+    def test_non_ascii_labels_and_delimiter(self, tmp_path, bom):
+        # labels of multi-byte characters; one over 8 bytes spans more than
+        # one key word. A byte-order mark before the header is not text of
+        # the first column's name
         long = "\u65e5\u672c\u8a9e\u306e\u30e9\u30d9\u30eb"
         schema = Schema((
             VariableSpec("\u00c9T", ("\u00e9", long, "e"), "target"),
@@ -607,9 +633,11 @@ class TestIngest:
         ))
         rows = [["\u00e9", "y"], ["e", 'w\u00a6"v'], [long, "\U0001f600"]]
         path = tmp_path / "d.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, delimiter=delimiter).writerows([["B", "\u00c9T"]] + [r[::-1] for r in rows])
-        data = ingest_csv(path, schema, CsvOptions(delimiter=delimiter))
+        with open(path, "wb") as fh:
+            fh.write(bom)
+        with open(path, "a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["B", "\u00c9T"]] + [r[::-1] for r in rows])
+        data = ingest_csv(path, schema)
         assert data.records.tolist() == [[0, 0], [2, 1], [1, 2]]
 
     def test_blank_lines_and_line_ends(self, tmp_path):
@@ -627,8 +655,7 @@ def cache_files(out):
 
 
 def one_column(path, labels=("x", "y")):
-    """A one-variable CSV, which parses alike under any delimiter and any
-    ASCII-compatible encoding, and its schema."""
+    """A one-variable CSV and its schema."""
     path.write_text("T\nx\ny\nx\n", encoding="utf-8")
     return Schema((VariableSpec("T", labels, "target"),))
 
@@ -641,20 +668,19 @@ class TestRecordsCache:
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
         write_case(path, case)
-        options = CsvOptions(delimiter=case[2])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                parsed = ingest_csv(path, PARITY_SCHEMA, options)
+                parsed = ingest_csv(path, PARITY_SCHEMA)
             except DataError as exc:
                 # a parse error stores nothing, and is raised again on the next call
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    load_dataset(path, PARITY_SCHEMA, out, options)
+                    load_dataset(path, PARITY_SCHEMA, out)
                 assert cache_files(out) == []
                 return
-            missed = load_dataset(path, PARITY_SCHEMA, out, options)
+            missed = load_dataset(path, PARITY_SCHEMA, out)
         with mock.patch.object(dataset, "ingest_csv", side_effect=AssertionError("parsed on a hit")):
-            hit = load_dataset(path, PARITY_SCHEMA, out, options)
+            hit = load_dataset(path, PARITY_SCHEMA, out)
         for data in (missed, hit):
             assert data.records.dtype == parsed.records.dtype and data.records.flags.f_contiguous
             assert data.records.tobytes(order="F") == parsed.records.tobytes(order="F")
@@ -668,8 +694,8 @@ class TestRecordsCache:
         schema = one_column(path)
         seen = []
 
-        def load(schema=schema, **options):
-            data = load_dataset(path, schema, out, CsvOptions(**options))
+        def load(schema=schema):
+            data = load_dataset(path, schema, out)
             assert len(cache_files(out)) == 1 and cache_files(out)[0] not in seen
             seen.extend(cache_files(out))
             return data
@@ -679,9 +705,30 @@ class TestRecordsCache:
         assert load().records.ravel().tolist() == [0, 0, 0]
         path.write_text("T\nx\ny\nx\n", encoding="utf-8")
         assert load(one_column(path, ("y", "x"))).records.ravel().tolist() == [1, 0, 1]
-        assert load(delimiter=";").records.ravel().tolist() == [0, 1, 0]
-        assert load(encoding="latin-1").records.ravel().tolist() == [0, 1, 0]
         assert (out / "records.txt").is_file()
+
+    def test_demo_key_is_pinned(self):
+        # the name of every demo records and counts file: a change to what
+        # the key hashes renames them all
+        key = dataset._records_key(DEMO / "synthetic.csv", read_schema(DEMO / "synthetic.schema"))
+        assert key == "d58cb1e20c22cd11b454af58367220207762aaea4bc574476eb7233173542ac4"
+
+    def test_byte_order_mark_file_keeps_its_own_cache_file(self, tmp_path):
+        # the key hashes the raw bytes: a BOM-prefixed copy has a key of its
+        # own, the same records, and is read from its file on the next call
+        out = tmp_path / "out"
+        out.mkdir()
+        schema = read_schema(DEMO / "synthetic.schema")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (DEMO / "synthetic.csv").read_bytes())
+        plain = load_dataset(DEMO / "synthetic.csv", schema, out)
+        assert dataset._records_key(path, schema) != dataset._records_key(DEMO / "synthetic.csv", schema)
+        missed = load_dataset(path, schema, out)
+        with mock.patch.object(dataset, "ingest_csv", side_effect=AssertionError("parsed on a hit")):
+            hit = load_dataset(path, schema, out)
+        assert missed == plain and hit == plain
+        (name,) = cache_files(out)  # the plain file's is replaced
+        assert name.startswith(f"records-{dataset._records_key(path, schema)}-")
 
     def test_largest_state_index_sets_the_stored_dtype(self, tmp_path):
         for states, dtype in ((256, np.uint8), (257, np.uint16)):
@@ -939,31 +986,33 @@ class TestEncode:
     @given(
         st.lists(LABEL_TEXT, min_size=2, max_size=12, unique=True),
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 11), LABEL_TEXT), min_size=1, max_size=40),
-        st.sampled_from([",", "\u00a7"]),
     )
-    def test_matches_label_by_label_comparison(self, states, picks, delimiter):
+    def test_matches_label_by_label_comparison(self, states, picks):
         # cells: labels, their prefixes, labels with more text, and other text
         column = []
         for kind, k, other in picks:
             label = states[k % len(states)]
             column.append((label, label[:-1], label + other, other)[kind])
         states = tuple(states)
-        text = f"A{delimiter}B\n" + "".join(f"{c}{delimiter}{c[::-1]}\n" for c in column)
-        cells = _CsvCells(text, delimiter)
+        text = "A,B\n" + "".join(f"{c},{c[::-1]}\n" for c in column)
+        cells = _CsvCells(text)
         for j, col in enumerate((column, [c[::-1] for c in column])):
             got = cells.encode(slice(2 + j, None, 2), states)
             assert got.tolist() == [states.index(c) if c in states else -1 for c in col]
 
-    @pytest.mark.parametrize("delimiter", [",", "\u00a7"])  # the UTF-8 and the UTF-32 path
     @pytest.mark.parametrize("states", [
         tuple(f"a{k}" for k in range(1, 10)),  # every label shares its first byte
         ("a1", "a2", "b", "c3", "\u00e9", "\u00e8x", "d"),  # some do: a, and the UTF-8 lead byte of é and è
         ("x", "y"),  # none does
     ])
-    def test_labels_that_share_their_first_byte_or_not(self, states, delimiter):
+    @pytest.mark.parametrize("row, first", [
+        ("{},z\n", 2),  # the labels' column first, its cells end at a comma
+        ("z,{}\r\n", 3),  # last, its cells end at a CRLF row end
+    ], ids=["first column", "last column"])
+    def test_labels_that_share_their_first_byte_or_not(self, states, row, first):
         column = [*states, *(s + "1" for s in states), *(s[:-1] for s in states), "a", "a0", "b1", "e", "\u00ea", ""]
-        text = f"A{delimiter}B\n" + "".join(f"{c}{delimiter}z\n" for c in column)
-        got = _CsvCells(text, delimiter).encode(slice(2, None, 2), states)
+        text = "A,B\n" + "".join(row.format(c) for c in column)
+        got = _CsvCells(text).encode(slice(first, None, 2), states)
         assert got.tolist() == [states.index(c) if c in states else -1 for c in column]
 
     def test_labels_that_differ_only_in_the_last_byte_of_each_word(self, tmp_path):
@@ -981,71 +1030,6 @@ class TestEncode:
         path.write_text("T\n" + "".join(f"{states[k]}\n" for k in picks))
         data = ingest_csv(path, Schema((VariableSpec("T", states, "target"),)))
         assert data.records.ravel().tolist() == picks
-
-
-class TestDiscretize:
-    def test_quintiles_of_1_to_10(self):
-        thresholds, labels = discretize_equal_frequency(range(1, 11), 5)
-        assert thresholds == [2.0, 4.0, 6.0, 8.0]
-        assert labels[2] == 2  # value 3
-        assert labels == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
-
-    def test_descending_top_fraction_is_one(self):
-        _, labels = discretize_equal_frequency(range(1, 11), 5, direction="descending")
-        assert labels[-1] == 1  # value 10 sits in the top 20%
-        assert labels[0] == 5
-
-    def test_constant_values_degenerate(self):
-        with pytest.raises(DegenerateBinning):
-            discretize_equal_frequency([4.0] * 6, 2)
-
-    def test_tie_goes_to_lower_bucket(self):
-        thresholds, labels = discretize_equal_frequency([1, 2, 3, 4], 2)
-        assert thresholds == [2.0]
-        assert labels == [1, 1, 2, 2]
-
-    def test_external_thresholds(self):
-        values = list(range(1, 11))
-        # expert-chosen cuts need not match the sample quantiles
-        assert apply_thresholds(values, [3, 6]) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 3]
-        assert apply_thresholds(values, [3, 6], direction="descending")[0] == 3
-        # quantile cuts reproduce the equal-frequency labels
-        thresholds, labels = discretize_equal_frequency(values, 5)
-        assert apply_thresholds(values, thresholds) == labels
-
-    def test_external_threshold_validation(self):
-        with pytest.raises(ValueError):
-            apply_thresholds([1, 2], [])
-        with pytest.raises(ValueError):
-            apply_thresholds([1, 2], [5, 3])
-        with pytest.raises(ValueError):
-            apply_thresholds([1, 2], [1.5], direction="sideways")
-
-    @given(
-        st.lists(st.integers(0, 30), min_size=4, max_size=60),
-        st.integers(2, 5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_occupancy_near_equal_up_to_ties(self, values, k):
-        distinct = len(set(values))
-        if distinct < k:
-            with pytest.raises(DegenerateBinning):
-                discretize_equal_frequency(values, k)
-            return
-        thresholds, labels = discretize_equal_frequency(values, k)
-        counts = np.bincount(labels, minlength=k + 1)[1:]
-        assert counts.sum() == len(values)
-        # each bucket misses its no-ties size by at most the values tied
-        # at the cut points bounding it
-        n = len(values)
-        for i in range(1, k + 1):
-            ideal = math.ceil(i * n / k) - math.ceil((i - 1) * n / k)
-            slack = 0
-            if i >= 2:
-                slack += values.count(thresholds[i - 2])
-            if i <= k - 1:
-                slack += values.count(thresholds[i - 1])
-            assert abs(int(counts[i - 1]) - ideal) <= slack
 
 
 class TestSplit:

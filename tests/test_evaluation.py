@@ -11,13 +11,12 @@ from bnpipeline.evaluation import (
     Metrics,
     confusion_matrix,
     cross_validate,
-    evidence_records,
     final_evaluation,
     metrics,
     write_cv_csv,
     write_final_metrics,
 )
-from bnpipeline.mcmc import posterior_predict
+from bnpipeline.mcmc import posterior_predict, write_predictions
 from bnpipeline.simulate import benchmark_alternative, benchmark_network, sample_dataset
 from bnpipeline.structlearn import CandidateModel, naive
 
@@ -137,7 +136,8 @@ class TestCrossValidate:
             fold = split.folds[fold_no - 1]
             train_rows = sorted(set(split.train_idx) - set(fold))
             net = fit_conjugate(dag, data.subset(train_rows))
-            records, truths = evidence_records(data, list(fold), "EVAL")
+            records = [{n: int(data.column(n)[i]) for n in data.schema.names if n != "EVAL"} for i in fold]
+            truths = data.column("EVAL")[fold]
             preds = posterior_predict(net, records, mode="exact", target="EVAL")
             manual = metrics(
                 [values[p.predicted] for p in preds], [values[t] for t in truths]
@@ -161,7 +161,8 @@ class TestCrossValidate:
             subtracted = subtract_counts(fit_conjugate(dags[label], train_data), data.subset(fold), np.zeros(len(fold)))
             for node, cpt in net.cpts.items():
                 assert np.array_equal(subtracted[node][0], cpt.counts)
-            records, truths = evidence_records(data, list(fold), "EVAL")
+            records = [{n: int(data.column(n)[i]) for n in data.schema.names if n != "EVAL"} for i in fold]
+            truths = data.column("EVAL")[fold]
             preds = posterior_predict(net, records, target="EVAL")
             manual = metrics(
                 [values[p.predicted] for p in preds], [values[t] for t in truths]
@@ -209,20 +210,45 @@ class TestFinalEvaluation:
     def test_one_prediction_per_test_record(self):
         dag, data = small_problem()
         split = make_split(data.n_records, 0.2, 4, 0.1, seed=4)
-        summary, preds, network = final_evaluation(CandidateModel("truth", dag), data, split)
-        assert len(preds) == len(split.test_idx)
+        summary, probs, truths, network = final_evaluation(CandidateModel("truth", dag), data, split)
+        assert probs.shape == (len(split.test_idx), data.schema.cardinality("EVAL"))
+        assert truths.tolist() == data.column("EVAL")[split.test_idx].tolist()
         assert summary.cases == len(split.test_idx)
         assert network.dag == dag
 
     def test_summary_consistent_with_confusion_trace(self):
         dag, data = small_problem()
         split = make_split(data.n_records, 0.2, 4, 0.1, seed=4)
-        summary, preds, _ = final_evaluation(CandidateModel("truth", dag), data, split)
+        summary, probs, truths, _ = final_evaluation(CandidateModel("truth", dag), data, split)
         matrix = confusion_matrix(
-            [p.predicted for p in preds], [p.true_state for p in preds],
+            probs.argmax(axis=1), truths,
             num_states=data.schema.cardinality("EVAL"),
         )
         assert np.trace(matrix) / matrix.sum() == pytest.approx(summary.accuracy)
+
+    def test_distributions_match_posterior_predict(self):
+        dag, data = small_problem()
+        split = make_split(data.n_records, 0.2, 4, 0.1, seed=4)
+        _, probs, truths, network = final_evaluation(CandidateModel("truth", dag), data, split)
+        records = [{n: int(data.column(n)[i]) for n in data.schema.names if n != "EVAL"} for i in split.test_idx]
+        preds = posterior_predict(network, records, target="EVAL", true_states=truths)
+        assert np.allclose(probs, [p.probs for p in preds], rtol=0, atol=1e-12)
+        assert np.allclose(probs.sum(axis=1), 1.0)
+        assert [p.predicted for p in preds] == probs.argmax(axis=1).tolist()
+
+    def test_predictions_csv_as_one_row_per_posterior_predictive(self, tmp_path):
+        # write_predictions formats the arrays as each record's
+        # PosteriorPredictive: percents, mean, modal and true state
+        dag, data = small_problem()
+        split = make_split(data.n_records, 0.2, 4, 0.1, seed=4)
+        _, probs, truths, network = final_evaluation(CandidateModel("truth", dag), data, split)
+        spec = data.schema.spec("EVAL")
+        write_predictions(probs, truths, spec, tmp_path / "p.csv")
+        records = [{n: int(data.column(n)[i]) for n in data.schema.names if n != "EVAL"} for i in split.test_idx]
+        rows = [[f"state_{s}" for s in spec.states] + ["mean", "predicted", "true"]]
+        for p in posterior_predict(network, records, target="EVAL", true_states=truths):
+            rows.append([f"{100.0 * x:.2f}" for x in p.probs] + [f"{p.mean:.4f}", spec.states[p.predicted], spec.states[p.true_state]])
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == "".join(",".join(r) + "\n" for r in rows)
 
     def test_metrics_csv(self, tmp_path):
         m = Metrics(cases=35, correct=12, large_errors=3, accuracy=12 / 35, rmse=0.8783)

@@ -14,7 +14,6 @@ from bnpipeline.dataset import Dataset, Schema, VariableSpec
 from bnpipeline.mcmc import (
     ConstantChain,
     McmcConfig,
-    PosteriorPredictive,
     export_traces,
     gelman_rubin,
     posterior_predict,
@@ -238,15 +237,12 @@ class TestPosteriorPredict:
 
     def test_predictions_csv(self, tmp_path):
         spec = VariableSpec("T", tuple(str(i) for i in range(1, 4)), "target")
-        preds = [
-            PosteriorPredictive(0, np.array([0.2, 0.5, 0.3]), 2.1, 1, 2),
-            PosteriorPredictive(1, np.array([0.7, 0.2, 0.1]), 1.4, 0, None),
-        ]
-        write_predictions(preds, spec, tmp_path / "p.csv")
+        probs = np.array([[0.2, 0.5, 0.3], [0.7, 0.2, 0.1]])
+        write_predictions(probs, np.array([2, 1]), spec, tmp_path / "p.csv")
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines[0] == "state_1,state_2,state_3,mean,predicted,true"
         assert lines[1] == "20.00,50.00,30.00,2.1000,2,3"
-        assert lines[2] == "70.00,20.00,10.00,1.4000,1,"
+        assert lines[2] == "70.00,20.00,10.00,1.4000,1,2"
 
 
 class TestGelmanRubin:
