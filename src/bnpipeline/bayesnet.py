@@ -7,8 +7,8 @@ unobserved variables out one at a time along its own min-fill order,
 gathering each CPT factor along the observed values of a block of records
 only at the step that uses it and multiplying it into that step's running
 product. The full joint is never built, and the number of unobserved
-variables is not limited: the cap bounds the cost of one record's
-elimination, which the network's structure determines.
+variables is not limited: DEFAULT_ENUMERATION_CAP bounds the cost of one
+record's elimination, which the network's structure determines.
 
 The sensitivity report needs p(target, X) for every other node X.
 target_pair_marginals calibrates one such elimination: eliminate's upward
@@ -19,7 +19,6 @@ that gives every variable its marginal at the step that eliminated it
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,9 +26,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Schema, content_lines, contingency_table, read_text
+from .dataset import DataError, Dataset, Schema, content_lines, contingency_table, read_text, write_rows
 from .infotheory import mutual_information
 
+# the one inference cost cap, which family_counts and _elimination_steps read at call time
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
@@ -45,7 +45,7 @@ class DuplicateEdge(GraphError):
     pass
 
 
-class EnumerationTooLarge(Exception):
+class EnumerationTooLarge(DataError):
     pass
 
 
@@ -249,26 +249,20 @@ def family_counts(data: Dataset, node: str, parents: Sequence[str], folds: np.nd
     return table.reshape(*leading, -1, data.schema.cardinality(node))
 
 
-def fit_conjugate(
-    dag: Dag, data: Dataset, alpha0: float = 1.0, counted: dict | None = None
-) -> FittedNetwork:
+def fit_conjugate(dag: Dag, data: Dataset, alpha0: float = 1.0) -> FittedNetwork:
     """Tally per-family counts and attach uniform Dirichlet(alpha0) priors.
 
-    counted, when given, holds the family tables already counted on data,
-    keyed by (node, parent order), and gains the ones counted here: fits of
-    several DAGs on one dataset then count each shared family once."""
+    Each family table comes through contingency_table, whose memo on data
+    serves a family that an earlier fit on data (or select) counted."""
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     missing = set(dag.nodes) - set(data.schema.names)
     if missing:
         raise DataError(f"data lacks variables {sorted(missing)}")
-    counted = {} if counted is None else counted
     cpts = {}
     for node in dag.nodes:
         order = _parent_order(dag, data.schema, node)
-        if (node, order) not in counted:
-            counted[node, order] = family_counts(data, node, order).astype(float)
-        counts = counted[node, order]
+        counts = family_counts(data, node, order)
         cpts[node] = Cpt(node, order, np.full(counts.shape, float(alpha0)), counts)
     return FittedNetwork(dag, data.schema, cpts)
 
@@ -359,9 +353,7 @@ def min_fill_order(
     return order
 
 
-def _elimination_steps(
-    scopes: list[tuple[str, ...]], card: Mapping[str, int], query: Sequence[str], max_states: int
-) -> tuple[list, int]:
+def _elimination_steps(scopes: list[tuple[str, ...]], card: Mapping[str, int], query: Sequence[str]) -> tuple[list, int]:
     """Bucket elimination along min_fill_order: one (labels, factors, messages,
     axis) step per eliminated variable, then a last step over the query with
     axis None. A step multiplies the factors (indices into scopes) and the
@@ -370,7 +362,8 @@ def _elimination_steps(
     axis (counting a leading record axis). Each message is (step index,
     shape along the labels, 1 where it lacks one). A step's size is the
     product of its labels' cardinalities; the order's cost, the sum of its
-    step sizes, may not exceed max_states. Also returns the largest size."""
+    step sizes, may not exceed DEFAULT_ENUMERATION_CAP. Also returns the
+    largest size."""
     pending = {("factor", i): set(scope) for i, scope in enumerate(scopes)}
     steps = []
     for v in min_fill_order(scopes, card, query) + [None]:
@@ -384,8 +377,8 @@ def _elimination_steps(
             pending["message", len(steps)] = set(labels) - {v}
         steps.append((labels, factors, messages, None if v is None else 1 + labels.index(v)))
     sizes = [math.prod(card[u] for u in labels) for labels, *_ in steps]
-    if sum(sizes) > max_states:
-        raise EnumerationTooLarge(f"elimination cost {sum(sizes)} per record exceeds cap {max_states}")
+    if sum(sizes) > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"elimination cost {sum(sizes)} per record exceeds cap {DEFAULT_ENUMERATION_CAP}")
     return steps, max(sizes)
 
 
@@ -394,7 +387,6 @@ def eliminate(
     params: Mapping[str, np.ndarray],
     records: np.ndarray,
     query: Sequence[str],
-    max_states: int = DEFAULT_ENUMERATION_CAP,
     sets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unnormalized joint mass of each record's evidence with every query
@@ -426,7 +418,7 @@ def eliminate(
     out = np.empty((len(records),) + tuple(schema.cardinality(q) for q in query))
     for pattern, rows in missing_groups(observed):
         free = {n for n, seen in zip(nodes, pattern) if not seen}
-        steps, width, plan = _plan(network, params, free, query, max_states)
+        steps, width, plan = _plan(network, params, free, query)
         # the last step's labels are sorted; put them in query order
         final = (0, *(1 + steps[-1][0].index(q) for q in query))
         step = max(1, _BLOCK_CELLS // (2 * width))
@@ -438,7 +430,7 @@ def eliminate(
 
 
 def _plan(
-    network: FittedNetwork, params: Mapping[str, np.ndarray], free: set[str], query: Sequence[str], max_states: int
+    network: FittedNetwork, params: Mapping[str, np.ndarray], free: set[str], query: Sequence[str]
 ) -> tuple[list, int, list]:
     """_elimination_steps for records that leave the variables of free
     unobserved, over the families that hold one of them, and per step the
@@ -454,7 +446,7 @@ def _plan(
             continue
         strides = dict(zip(scope, [s * card[node] for s in _config_strides(schema, scope[:-1])] + [1]))
         families.append((node, tuple(v for v in scope if v in free), strides))
-    steps, width = _elimination_steps([hidden for _, hidden, _ in families], card, query, max_states)
+    steps, width = _elimination_steps([hidden for _, hidden, _ in families], card, query)
     plan = []
     for labels, factors, messages, axis in steps:
         gathers = []
@@ -507,7 +499,6 @@ def posterior_marginal(
     network: FittedNetwork,
     records: np.ndarray,
     query: Sequence[str],
-    max_states: int = DEFAULT_ENUMERATION_CAP,
     counts: Mapping[str, np.ndarray] | None = None,
     sets: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -560,7 +551,7 @@ def posterior_marginal(
     for node, cpt in network.cpts.items():
         post = cpt.alpha + counts[node]
         mean[node] = post / post.sum(axis=-1, keepdims=True)
-    mass = eliminate(network, mean, records, query, max_states, sets)
+    mass = eliminate(network, mean, records, query, sets)
     total = mass.sum(axis=tuple(range(1, mass.ndim)), keepdims=True)
     if np.any(total <= 0):
         raise EvidenceUnderflow(
@@ -574,7 +565,6 @@ def joint_marginal(
     network: FittedNetwork,
     evidence: Mapping[str, int | np.ndarray],
     query: Sequence[str],
-    max_states: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """posterior_marginal of one evidence assignment given as a dict.
 
@@ -592,7 +582,7 @@ def joint_marginal(
         if np.any((a < 0) | (a >= schema.cardinality(var))):
             raise ValueError(f"evidence state {a} out of range for {var!r}")
         records[:, schema.index(var)] = a
-    probs = posterior_marginal(network, records, query, max_states)
+    probs = posterior_marginal(network, records, query)
     for axis, qv in enumerate(query):
         if qv in states:  # keep only each record's observed state, renormalized
             onehot = np.eye(schema.cardinality(qv))[records[:, schema.index(qv)]]
@@ -601,20 +591,15 @@ def joint_marginal(
     return probs if any(a.ndim for a in states.values()) else probs[0]
 
 
-def sensitivity(
-    network: FittedNetwork, target: str, predictor: str,
-    max_states: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
+def sensitivity(network: FittedNetwork, target: str, predictor: str) -> float:
     """Entropy reduction H(T) - H(T|V) of the target under the fitted network
     joint: the mutual information of their pair marginal."""
     if target == predictor:
         raise ValueError("target and predictor must differ")
-    return mutual_information(joint_marginal(network, {}, (target, predictor), max_states=max_states))
+    return mutual_information(joint_marginal(network, {}, (target, predictor)))
 
 
-def target_pair_marginals(
-    network: FittedNetwork, target: str, max_states: int = DEFAULT_ENUMERATION_CAP
-) -> dict[str, np.ndarray]:
+def target_pair_marginals(network: FittedNetwork, target: str) -> dict[str, np.ndarray]:
     """p(target, X) at posterior-mean parameters for every other node X:
     shape (target states, X states), summing to 1. One calibration gives
     them all (Koller & Friedman 2009, §10.2-10.4; Lauritzen & Spiegelhalter
@@ -644,7 +629,7 @@ def target_pair_marginals(
     records[:, schema.index(target)] = np.arange(card[target])
     mean = {node: cpt.posterior_mean[None] for node, cpt in network.cpts.items()}
     weight = mean[target][0, 0] if not network.cpts[target].parent_order else np.ones(card[target])
-    steps, _, plan = _plan(network, mean, set(others), (), max_states)
+    steps, _, plan = _plan(network, mean, set(others), ())
     consumer = {m: j for j, (_, _, messages, _) in enumerate(steps) for m, _ in messages}
     # the calibration keeps every step's product: a block of records holds
     # at most _BLOCK_CELLS cells of them, or one record
@@ -667,9 +652,7 @@ def target_pair_marginals(
     return {v: joint / joint.sum() for v, joint in joints.items()}
 
 
-def sensitivity_report(
-    network: FittedNetwork, target: str, max_states: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[str, float]]:
+def sensitivity_report(network: FittedNetwork, target: str) -> list[tuple[str, float]]:
     """Per-predictor sensitivity scores sorted by decreasing score: the
     mutual information of each target_pair_marginals entry, the same score
     as sensitivity's per-pair query, all from one calibration.
@@ -678,7 +661,7 @@ def sensitivity_report(
     noise (such as those of predictors d-separated from the target) tie
     exactly and are listed in label order.
     """
-    pairs = target_pair_marginals(network, target, max_states)
+    pairs = target_pair_marginals(network, target)
     scores = [(node, round(mutual_information(joint), 12)) for node, joint in pairs.items()]
     scores.sort(key=lambda kv: (-kv[1], kv[0]))
     return scores
@@ -687,23 +670,22 @@ def sensitivity_report(
 def write_fitted_network(network: FittedNetwork, path: str | Path) -> None:
     """CSV of posterior pseudo-counts: (node, parent_config, state, alpha_posterior)."""
     schema = network.schema
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", "parent_config", "state", "alpha_posterior"])
-        for node in schema.names:
-            if node not in network.cpts:
-                continue
-            cpt = network.cpts[node]
-            post = cpt.posterior
-            strides = _config_strides(schema, cpt.parent_order)
-            for j in range(post.shape[0]):
-                if cpt.parent_order:
-                    parts = []
-                    for p, stride in zip(cpt.parent_order, strides):
-                        state = (j // stride) % schema.cardinality(p)
-                        parts.append(f"{p}={schema.spec(p).states[state]}")
-                    label = "|".join(parts)
-                else:
-                    label = "-"
-                for k, state_label in enumerate(schema.spec(node).states):
-                    writer.writerow([node, label, state_label, repr(float(post[j, k]))])
+    rows = []
+    for node in schema.names:
+        if node not in network.cpts:
+            continue
+        cpt = network.cpts[node]
+        post = cpt.posterior
+        strides = _config_strides(schema, cpt.parent_order)
+        for j in range(post.shape[0]):
+            if cpt.parent_order:
+                parts = []
+                for p, stride in zip(cpt.parent_order, strides):
+                    state = (j // stride) % schema.cardinality(p)
+                    parts.append(f"{p}={schema.spec(p).states[state]}")
+                label = "|".join(parts)
+            else:
+                label = "-"
+            for k, state_label in enumerate(schema.spec(node).states):
+                rows.append([node, label, state_label, repr(float(post[j, k]))])
+    write_rows(path, ["node", "parent_config", "state", "alpha_posterior"], rows)

@@ -25,7 +25,7 @@ import numpy as np
 from . import bayesnet, evaluation, infotheory, mcmc, modelselect, structlearn
 from .config import ConfigError, PipelineConfig, load_config, write_effective_config
 from .dataset import (
-    DataError, Dataset, content_lines, load_dataset, make_split, read_schema, store_counts, write_split_plan,
+    DataError, Dataset, content_lines, load_dataset, make_split, read_schema, store_counts, write_rows, write_split_plan,
 )
 
 
@@ -182,9 +182,8 @@ def cmd_learn(cfg: PipelineConfig) -> None:
     out = _out(cfg)
     candidates = _learn_candidates(cfg, data)
     target = data.schema.target
-    counted: dict = {}  # family tables, shared by the candidates
     reports = [
-        bayesnet.sensitivity_report(bayesnet.fit_conjugate(cand.dag, data, cfg.alpha0, counted), target)
+        bayesnet.sensitivity_report(bayesnet.fit_conjugate(cand.dag, data, cfg.alpha0), target)
         for cand in candidates
     ]
     # every candidate succeeded: write them all, then remove the outputs of
@@ -195,11 +194,7 @@ def cmd_learn(cfg: PipelineConfig) -> None:
         structure = structures / f"{cand.label}.structure"
         bayesnet.write_structure(cand.dag, structure)
         sensitivity = out / f"sensitivity_{cand.label}.csv"
-        with open(sensitivity, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["variable", "score"])
-            for name, score in report:
-                writer.writerow([name, repr(score)])
+        write_rows(sensitivity, ["variable", "score"], [(name, repr(score)) for name, score in report])
         written.update([structure, sensitivity])
     for stale in [*structures.glob("*.structure"), *out.glob("sensitivity_*.csv")]:
         if stale not in written:
@@ -322,11 +317,7 @@ def cmd_fit_predict(cfg: PipelineConfig) -> None:
     mcmc.write_predictions(probs, truths, data.schema.spec(target), out / "predictions.csv")
     evaluation.write_final_metrics(summary, out / "final_metrics.csv")
     mcmc.export_traces(draws, {n: network.cpts[n].posterior for n in draws}, traces)
-    with open(out / "rhat.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["parameter", "r_hat"])
-        for name in sorted(rhat):
-            writer.writerow([name, repr(rhat[name])])
+    write_rows(out / "rhat.csv", ["parameter", "r_hat"], [(name, repr(rhat[name])) for name in sorted(rhat)])
     write_effective_config(cfg, out / "effective_config.ini")
     worst = max(rhat.values())
     if worst > cfg.rhat_threshold:
@@ -443,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, bayesnet.EnumerationTooLarge) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (DiagnosticFailure, mcmc.ConstantChain) as exc:

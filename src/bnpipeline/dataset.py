@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -497,10 +497,11 @@ def content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of an input file, line ends untouched. Bytes that are
-    not UTF-8 are a DataError naming the file."""
+    """The UTF-8 text of an input file after one optional byte-order mark
+    (EF BB BF, which some editors write first), line ends untouched. Bytes
+    that are not UTF-8 are a DataError naming the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte {exc.start} is not valid utf-8 ({exc.reason})") from None
 
@@ -567,7 +568,7 @@ def ingest_csv(path: str | Path, schema: Schema) -> Dataset:
     first offending row in the file: its quoting if that is broken, else its
     width if that is wrong, else its first unknown state in schema order.
     """
-    text = read_text(path).removeprefix("\ufeff")
+    text = read_text(path)
     if not text:
         raise DataError(f"{path}: empty file")
     cells = _CsvCells(text)
@@ -959,13 +960,20 @@ class _CsvCells:
         return codes
 
 
-def write_csv(data: Dataset, path: str | Path) -> None:
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The CSV format of every artifact a phase writes: UTF-8, LF line ends,
+    the header then the rows, each field quoted as csv.writer quotes it (only
+    when it holds a comma, a quote or a line end). Callers pass floats as
+    repr() strings, which read back as the same float."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(data.schema.names)
-        states = [spec.states for spec in data.schema.variables]
-        for row in data.records:
-            writer.writerow([states[j][row[j]] for j in range(len(states))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(data: Dataset, path: str | Path) -> None:
+    states = [spec.states for spec in data.schema.variables]
+    write_rows(path, data.schema.names, ([states[j][row[j]] for j in range(len(states))] for row in data.records))
 
 
 # ---------------------------------------------------------------------------

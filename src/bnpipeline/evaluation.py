@@ -8,7 +8,6 @@ ones.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bayesnet import Cpt, Dag, FittedNetwork, family_counts, fit_conjugate, posterior_marginal, subtract_counts
-from .dataset import Dataset, SplitPlan, numeric_state_values
+from .dataset import Dataset, SplitPlan, numeric_state_values, write_rows
 from .structlearn import CandidateModel
 
 
@@ -34,18 +33,6 @@ class Metrics:
     large_errors: int
     accuracy: float
     rmse: float
-
-
-def confusion_matrix(pred: Sequence[int], truth: Sequence[int], num_states: int | None = None) -> np.ndarray:
-    """Matrix with entry (i, j) counting records predicted i while truly j."""
-    p = np.asarray(pred, dtype=np.int64)
-    t = np.asarray(truth, dtype=np.int64)
-    if p.shape != t.shape:
-        raise ValueError("prediction and truth lengths differ")
-    r = num_states if num_states is not None else int(max(p.max(), t.max())) + 1
-    matrix = np.zeros((r, r), dtype=np.int64)
-    np.add.at(matrix, (p, t), 1)
-    return matrix
 
 
 def metrics(pred: Sequence[float], truth: Sequence[float], literal_rmse: bool = False) -> Metrics:
@@ -84,13 +71,13 @@ class CvResult:
     best: str
 
 
-def _training_fit(dag: Dag, data: Dataset, test: Dataset, alpha0: float, counted: dict | None = None) -> FittedNetwork:
+def _training_fit(dag: Dag, data: Dataset, test: Dataset, alpha0: float) -> FittedNetwork:
     """fit_conjugate of dag on the rows of data outside test, a subset of
     them (the training rows of a split): each family's table on data, which
     a run counts once (dataset.contingency_table), less its table on test.
     Counts are exact integers, so this equals a fit on those rows bit for
     bit, without copying them."""
-    network = fit_conjugate(dag, data, alpha0, counted)
+    network = fit_conjugate(dag, data, alpha0)
     cpts = {
         node: Cpt(node, cpt.parent_order, cpt.alpha, cpt.counts - family_counts(test, node, cpt.parent_order))
         for node, cpt in network.cpts.items()
@@ -108,7 +95,7 @@ def cross_validate(
     """Fit every candidate on train-minus-fold and score it on each fold.
 
     Each candidate is fitted once on the training split (_training_fit),
-    and a family that several candidates share is counted once. Its
+    data's table memo serving the families the candidates share. Its
     network for a fold is that fit minus the fold's own family counts,
     which equals a refit on train-minus-fold because counts are additive.
     Per candidate, one subtract_counts call counts the held-out rows of
@@ -127,8 +114,7 @@ def cross_validate(
     target = data.schema.target
     values = np.asarray(numeric_state_values(data.schema.spec(target)))
     test = data.subset(split.test_idx)
-    counted: dict = {}  # family tables on all rows, shared by the candidates
-    fitted = [_training_fit(cand.dag, data, test, alpha0, counted) for cand in candidates]
+    fitted = [_training_fit(cand.dag, data, test, alpha0) for cand in candidates]
 
     sizes = [fold.size for fold in split.folds]
     held_out = data.subset(np.concatenate(split.folds))
@@ -178,20 +164,11 @@ def final_evaluation(
 
 def write_cv_csv(cv: CvResult, path: str | Path) -> None:
     """Per-fold rows plus one 'mean' row per model."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "fold", "cases", "correct", "accuracy", "rmse"])
-        for label, fold, m in cv.fold_metrics:
-            writer.writerow(
-                [label, fold, m.cases, m.correct, repr(m.accuracy), repr(m.rmse)]
-            )
-        for label in sorted(cv.averages):
-            acc, rmse = cv.averages[label]
-            writer.writerow([label, "mean", "", "", repr(acc), repr(rmse)])
+    rows = [[label, fold, m.cases, m.correct, repr(m.accuracy), repr(m.rmse)] for label, fold, m in cv.fold_metrics]
+    rows += [[label, "mean", "", "", repr(acc), repr(rmse)] for label, (acc, rmse) in sorted(cv.averages.items())]
+    write_rows(path, ["model", "fold", "cases", "correct", "accuracy", "rmse"], rows)
 
 
 def write_final_metrics(m: Metrics, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cases", "correct", "large_errors", "accuracy", "rmse"])
-        writer.writerow([m.cases, m.correct, m.large_errors, repr(m.accuracy), repr(m.rmse)])
+    row = [m.cases, m.correct, m.large_errors, repr(m.accuracy), repr(m.rmse)]
+    write_rows(path, ["cases", "correct", "large_errors", "accuracy", "rmse"], [row])

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, contingency_stacks
+from .dataset import Dataset, contingency_stacks, write_rows
 
 
 def entropy(counts) -> float:
@@ -255,14 +255,6 @@ def histogram(scores: Sequence[float], bin_count: int) -> tuple[list[float], lis
 # CSV export
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float | None) -> str:
-    if v is None:
-        return ""
-    if math.isinf(v):
-        return "inf"
-    return repr(float(v))
-
-
 # rows of a score table formatted at a time
 _WRITE_ROWS = 1 << 14
 
@@ -304,8 +296,5 @@ def write_score_table(table: ScoreTable, path: str | Path) -> None:
 
 
 def write_histogram(edges: Sequence[float], counts: Sequence[int], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([_fmt(edges[i]), _fmt(edges[i + 1]), c])
+    rows = [(repr(float(edges[i])), repr(float(edges[i + 1])), c) for i, c in enumerate(counts)]
+    write_rows(path, ["bin_left", "bin_right", "count"], rows)

@@ -14,7 +14,6 @@ bayesnet.posterior_marginal's closed form.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import DEFAULT_ENUMERATION_CAP, FittedNetwork, posterior_marginal
-from .dataset import VariableSpec, numeric_state_values
+from .bayesnet import FittedNetwork, posterior_marginal
+from .dataset import VariableSpec, numeric_state_values, write_rows
 
 
 class ConstantChain(Exception):
@@ -133,7 +132,6 @@ def posterior_predict(
     mode: str = "exact",
     target: str | None = None,
     true_states: Sequence[int] | None = None,
-    max_states: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[PosteriorPredictive]:
     """Predictive target distribution for each evidence record, a dict of
     state indices by variable name that leaves out the target and any
@@ -153,7 +151,7 @@ def posterior_predict(
             matrix[i, [schema.index(v) for v in record]] = list(record.values())
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-    probs = posterior_marginal(network, matrix, (tgt,), max_states)
+    probs = posterior_marginal(network, matrix, (tgt,))
     values = numeric_state_values(schema.spec(tgt))
     return [
         PosteriorPredictive(
@@ -170,13 +168,11 @@ def write_predictions(probs: np.ndarray, truths: Sequence[int], spec: VariableSp
     decimals), mean, modal prediction (summarize_distribution) and the true
     state."""
     values = numeric_state_values(spec)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"state_{s}" for s in spec.states] + ["mean", "predicted", "true"])
-        for p, truth in zip(probs, truths):
-            mean, predicted = summarize_distribution(p, values)
-            row = [f"{100.0 * x:.2f}" for x in p]
-            writer.writerow([*row, f"{mean:.4f}", spec.states[predicted], spec.states[truth]])
+    rows = []
+    for p, truth in zip(probs, truths):
+        mean, predicted = summarize_distribution(p, values)
+        rows.append([*(f"{100.0 * x:.2f}" for x in p), f"{mean:.4f}", spec.states[predicted], spec.states[truth]])
+    write_rows(path, [f"state_{s}" for s in spec.states] + ["mean", "predicted", "true"], rows)
 
 
 # ---------------------------------------------------------------------------

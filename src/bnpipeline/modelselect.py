@@ -7,7 +7,6 @@ domain. A positive log Bayes factor favors the first model.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .bayesnet import Dag, family_counts
-from .dataset import Dataset
+from .dataset import Dataset, write_rows
 
 # log-gamma over arrays without importing scipy, which would dominate start-up
 _gammaln = np.vectorize(math.lgamma, otypes=[float])
@@ -135,8 +134,4 @@ def build_ranking(
 
 
 def write_bf_table(rows: Sequence[tuple[str, str, float]], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_1", "model_2", "log_bf"])
-        for a, b, bf in rows:
-            writer.writerow([a, b, repr(float(bf))])
+    write_rows(path, ["model_1", "model_2", "log_bf"], [(a, b, repr(float(bf))) for a, b, bf in rows])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnpipeline import bayesnet
+from bnpipeline import dataset as dataset_module
 from bnpipeline.bayesnet import (
     Cpt,
     CycleError,
@@ -220,21 +221,21 @@ def reconstructed_review_structure():
 
 class TestSharedFamilyCounts:
     def test_each_family_counted_once_across_fits(self, monkeypatch):
+        # the Dataset's table memo serves a family an earlier fit counted
         net = random_network(np.random.default_rng(12), max_nodes=5)
         rng = np.random.default_rng(13)
-        data = Dataset(net.schema, np.column_stack(
-            [rng.integers(0, net.schema.cardinality(n), 50) for n in net.schema.names]
-        ))
+        records = np.column_stack([rng.integers(0, net.schema.cardinality(n), 2000) for n in net.schema.names])
         dags = [net.dag, Dag(net.dag.nodes), net.dag]
-        alone = [fit_conjugate(dag, data, 0.5) for dag in dags]
+        alone = [fit_conjugate(dag, Dataset(net.schema, records), 0.5) for dag in dags]
         counted_families = []
-        count = bayesnet.family_counts
+        count = dataset_module._count
         monkeypatch.setattr(
-            bayesnet, "family_counts", lambda d, node, parents: counted_families.append((node, parents)) or count(d, node, parents)
+            dataset_module, "_count", lambda d, names, groups=None: counted_families.append(frozenset(names)) or count(d, names, groups)
         )
-        counted = {}
-        shared = [fit_conjugate(dag, data, 0.5, counted) for dag in dags]
-        assert sorted(counted_families) == sorted(set(counted_families)) == sorted(counted)
+        data = Dataset(net.schema, records)
+        shared = [fit_conjugate(dag, data, 0.5) for dag in dags]
+        families = {frozenset((*dag.parents(node), node)) for dag in dags for node in dag.nodes}
+        assert sorted(counted_families, key=sorted) == sorted(families, key=sorted)
         for got, want in zip(shared, alone):
             for node, cpt in want.cpts.items():
                 assert np.array_equal(got.cpts[node].counts, cpt.counts)
@@ -363,12 +364,22 @@ class TestJointQuery:
             assert got.min() >= 0
             assert got.sum() == pytest.approx(1.0, abs=1e-10)
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         schema = make_schema([4, 4, 4])
         data = Dataset(schema, np.zeros((1, 3), dtype=np.int64))
         net = fit_conjugate(Dag(schema.names), data)
+        monkeypatch.setattr(bayesnet, "DEFAULT_ENUMERATION_CAP", 10)
         with pytest.raises(EnumerationTooLarge):
-            joint_marginal(net, {}, ("A",), max_states=10)
+            joint_marginal(net, {}, ("A",))
+
+    def test_over_the_cap_is_a_data_error(self, monkeypatch):
+        # the CLI maps every DataError, this one too, to exit 3
+        schema = make_schema([4, 4, 4])
+        data = Dataset(schema, np.zeros((1, 3), dtype=np.int64))
+        net = fit_conjugate(Dag(schema.names), data)
+        monkeypatch.setattr(bayesnet, "DEFAULT_ENUMERATION_CAP", 10)
+        with pytest.raises(DataError, match="exceeds cap 10"):
+            joint_marginal(net, {}, ("A",))
 
     def test_observed_query_is_point_mass(self):
         schema = make_schema([2, 2])

@@ -1,5 +1,7 @@
 import csv
+import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -95,6 +97,30 @@ def run(*args):
 
 
 PHASES = ("select", "learn", "compare", "cv", "fit-predict", "report")
+
+
+def run_demo_copy(root, edit):
+    """Every phase on a copy of the demo under root/data, each input file's
+    bytes passed through edit(file name, bytes), with out under root: each
+    phase's exit code and every file the run wrote, by path under out."""
+    (root / "data").mkdir(parents=True)
+    for path in DEMO.iterdir():
+        (root / "data" / path.name).write_bytes(edit(path.name, path.read_bytes()))
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        codes = [run(cmd, "--config", "data/pipeline.ini", "--out", "out") for cmd in PHASES]
+    finally:
+        os.chdir(cwd)
+    out = root / "out"
+    return codes, {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def csv_text(rows):
+    """rows as csv.writer writes them, with LF line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def stored_sets(cached, schema_path):
@@ -453,6 +479,56 @@ class TestPipelinePhases:
         assert run("cv", "--config", "pipeline.ini", "--seed", "77") == 0
         plan_b = (workspace / "out" / "split_plan.csv").read_text()
         assert plan_a != plan_b
+
+    def test_artifact_csvs_quote_names_and_labels(self, tmp_path):
+        # the demo with predictor F1 named and every state 1 labelled with a
+        # comma, quotes and a non-ASCII letter: each artifact CSV is what
+        # csv.writer writes of the fields it reads back as, with LF line ends
+        name, label = 'F1,"x"\u00e9', 'lo,"w"'
+
+        def rename(fname, raw):
+            text = raw.decode("utf-8")
+            if fname.endswith(".csv"):
+                rows = list(csv.reader(io.StringIO(text, newline="")))
+                rows = [[name if c == "F1" else c for c in rows[0]]] + [[label if c == "1" else c for c in r] for r in rows[1:]]
+                text = csv_text(rows)
+            elif fname.endswith(".schema"):
+                text = re.sub(r"^F1 :", f"{name} :", text, flags=re.M).replace(": 1|", f": {label}|")
+            elif fname.endswith(".structure"):
+                text = re.sub(r"\bF1\b", name, text)
+            return text.encode("utf-8")
+
+        codes, files = run_demo_copy(tmp_path, rename)
+        assert codes == [0] * len(PHASES)
+        artifacts = {n: raw for n, raw in files.items() if n.endswith(".csv") and "/" not in n}
+        sensitivity = [n for n in artifacts if n.startswith("sensitivity_")]
+        assert len(sensitivity) == 6
+        assert set(artifacts) - set(sensitivity) == {
+            "fitted_network.csv", "predictions.csv", "rhat.csv", "cv_metrics.csv", "final_metrics.csv",
+            "bf_pairwise.csv", "bf_chain.csv", "hist_mi.csv", "hist_cmi.csv",
+            "score_mi.csv", "score_cmi.csv", "score_delta.csv", "split_plan.csv",
+        }
+        expected = {
+            "fitted_network.csv": {name, label, f"{name}={label}"},
+            "predictions.csv": {f"state_{label}", label},
+            **{n: {name} for n in ["score_mi.csv", "score_cmi.csv", "score_delta.csv", *sensitivity]},
+        }
+        for fname, raw in artifacts.items():
+            assert b"\r" not in raw, fname
+            text = raw.decode("utf-8")
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            assert csv_text(rows) == text, fname
+            fields = {field for row in rows for field in row}
+            assert expected.get(fname, set()) <= fields, fname
+            # every field that holds a comma or a quote is built of the two
+            # strings: as itself, a state_ column, or a parent=state part
+            parts = {
+                part
+                for field in fields
+                for config in field.removeprefix("state_").split("|")
+                for part in config.split("=")
+            }
+            assert {part for part in parts if "," in part or '"' in part} <= {name, label}, fname
 
     def test_prediction_modes_are_inert(self, workspace):
         # every prediction is the closed form, whichever mode the config names
@@ -853,6 +929,23 @@ class TestConfigAndDataDefects:
         assert run("select", "--config", "pipeline.ini") == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(prefix) and "utf-8" in err[0]
+
+    def test_byte_order_mark_before_any_text_input_changes_no_output(self, tmp_path, capsys):
+        # the demo's schema, config and truth structure saved with the UTF-8
+        # byte-order mark in front, as some editors and spreadsheet programs
+        # write them: every phase reads them as the plain copies
+        runs = {}
+        for mark in (b"", b"\xef\xbb\xbf"):
+            runs[mark] = run_demo_copy(
+                tmp_path / ("marked" if mark else "plain"),
+                lambda fname, raw: mark + raw if fname in ("synthetic.schema", "pipeline.ini", "truth.structure") else raw,
+            )
+            assert capsys.readouterr().err == ""
+        (plain_codes, plain), (marked_codes, marked) = runs.values()
+        assert plain_codes == marked_codes == [0] * len(PHASES)
+        assert plain.keys() == marked.keys()
+        for fname in plain:
+            assert plain[fname] == marked[fname], fname
 
     def test_oversized_cell_is_an_unknown_state(self, workspace, capsys):
         # 200,000 characters: over csv.reader's 131,072-character field limit

@@ -30,6 +30,7 @@ from bnpipeline.dataset import (
     numeric_state_values,
     read_schema,
     write_csv,
+    write_rows,
     write_schema,
     write_split_plan,
 )
@@ -145,6 +146,18 @@ class TestLayout:
         assert_column_major_read_only(picked)
         assert picked.schema.names == ("T", "V")
         assert np.array_equal(picked.records, data.records[:, [0, 2]])
+
+
+class TestWriteRows:
+    def test_fields_read_back_and_lines_end_in_lf(self, tmp_path):
+        header = ["F1,\"x\"é", "plain"]
+        rows = [["lo,\"w\"", repr(0.1)], ["a\nb", "c"], ["", "x"]]
+        write_rows(tmp_path / "t.csv", header, rows)
+        raw = (tmp_path / "t.csv").read_bytes()
+        assert raw.startswith('"F1,""x""é",plain\n'.encode("utf-8"))
+        assert raw.endswith(b'"a\nb",c\n,x\n') and b"\r" not in raw
+        with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [header, *rows]
 
 
 @st.composite

@@ -9,7 +9,6 @@ from bnpipeline.dataset import Dataset, Schema, VariableSpec, make_split, numeri
 from bnpipeline.evaluation import (
     CvResult,
     Metrics,
-    confusion_matrix,
     cross_validate,
     final_evaluation,
     metrics,
@@ -19,28 +18,6 @@ from bnpipeline.evaluation import (
 from bnpipeline.mcmc import posterior_predict, write_predictions
 from bnpipeline.simulate import benchmark_alternative, benchmark_network, sample_dataset
 from bnpipeline.structlearn import CandidateModel, naive
-
-
-class TestConfusionMatrix:
-    def test_perfect_predictions_are_diagonal(self):
-        m = confusion_matrix([0, 1, 2, 1], [0, 1, 2, 1])
-        assert np.array_equal(m, np.diag([1, 2, 1]))
-
-    def test_single_off_diagonal_cell(self):
-        m = confusion_matrix([1, 1, 1], [0, 0, 0], num_states=2)
-        assert m[1, 0] == 3
-        assert m.sum() == 3
-
-    def test_total_and_trace(self):
-        pred = [0, 1, 1, 0, 2]
-        truth = [0, 1, 2, 1, 2]
-        m = confusion_matrix(pred, truth)
-        assert m.sum() == 5
-        assert np.trace(m) / m.sum() == pytest.approx(3 / 5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([0, 1], [0])
 
 
 class TestMetrics:
@@ -220,10 +197,9 @@ class TestFinalEvaluation:
         dag, data = small_problem()
         split = make_split(data.n_records, 0.2, 4, 0.1, seed=4)
         summary, probs, truths, _ = final_evaluation(CandidateModel("truth", dag), data, split)
-        matrix = confusion_matrix(
-            probs.argmax(axis=1), truths,
-            num_states=data.schema.cardinality("EVAL"),
-        )
+        r = data.schema.cardinality("EVAL")
+        matrix = np.zeros((r, r), dtype=np.int64)  # (predicted, true) counts
+        np.add.at(matrix, (probs.argmax(axis=1), truths), 1)
         assert np.trace(matrix) / matrix.sum() == pytest.approx(summary.accuracy)
 
     def test_distributions_match_posterior_predict(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bnpipeline.bayesnet import read_structure
 from bnpipeline.config import ConfigError, parse_config_text
-from bnpipeline.dataset import DataError, content_lines, read_schema
+from bnpipeline.dataset import DataError, content_lines, read_schema, read_text
 from bnpipeline.structlearn import read_constraints, read_orientation
 
 
@@ -32,6 +32,14 @@ def test_undecodable_byte_names_the_file(tmp_path, reader):
     path.write_bytes(b"# \xff\n")
     with pytest.raises(DataError, match=re.escape(f"{path}: byte 2 is not valid utf-8")):
         reader(path)
+
+
+def test_read_text_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xef\xbb\xbfA -> B\r\n")
+    assert read_text(path) == "A -> B\r\n"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfA\n")
+    assert read_text(path) == "\ufeffA\n"
 
 
 def _from_file(read):
