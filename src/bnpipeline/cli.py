@@ -167,7 +167,7 @@ def _learn_candidates(cfg: PipelineConfig, data: Dataset) -> list[structlearn.Ca
                 candidates.append(structlearn.naive(data, target))
             elif learner == "bd":
                 candidates.append(
-                    structlearn.bd_learn(data, constraints, cfg.alpha0, seed=cfg.seed)
+                    structlearn.bd_learn(data, constraints, cfg.alpha0, cfg.bdeu_ess, seed=cfg.seed)
                 )
         except (ValueError, structlearn.ConstraintError) as exc:
             raise DataError(f"learner {learner!r} failed: {exc}") from exc

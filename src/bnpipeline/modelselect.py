@@ -7,6 +7,7 @@ domain. A positive log Bayes factor favors the first model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,20 +57,13 @@ def local_log_marginal_likelihood(
 
 
 def log_marginal_likelihood(
-    dag: Dag, data: Dataset, alpha0: float = 1.0, bdeu_ess: float | None = None,
-    scored: dict | None = None,
+    dag: Dag, data: Dataset, alpha0: float = 1.0, bdeu_ess: float | None = None
 ) -> float:
-    """Log P(data | structure), summed over per-node families.
-
-    scored, when given, holds the local scores already computed on data
-    under the same prior, keyed by (node, parents), and gains the ones
-    computed here: scoring several DAGs then counts each shared family once."""
-    scored = {} if scored is None else scored
-    families = [(node, dag.parents(node)) for node in dag.nodes]
-    for family in families:
-        if family not in scored:
-            scored[family] = local_log_marginal_likelihood(data, *family, alpha0, bdeu_ess)
-    return sum(scored[family] for family in families)
+    """Log P(data | structure), summed over per-node families."""
+    return sum(
+        local_log_marginal_likelihood(data, node, dag.parents(node), alpha0, bdeu_ess)
+        for node in dag.nodes
+    )
 
 
 def log_bayes_factor(
@@ -111,9 +105,12 @@ def build_ranking(
     labels = [c.label for c in candidates]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate candidate labels: {labels}")
-    scored: dict = {}  # local scores, shared by the candidates
+    # one memo of family scores, so a family the candidates share is scored once
+    local = functools.cache(
+        functools.partial(local_log_marginal_likelihood, data, alpha0=alpha0, bdeu_ess=bdeu_ess)
+    )
     scores = {
-        c.label: log_marginal_likelihood(c.dag, data, alpha0, bdeu_ess, scored) for c in candidates
+        c.label: sum(local(node, c.dag.parents(node)) for node in c.dag.nodes) for c in candidates
     }
     entries = tuple(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
     chain = tuple(

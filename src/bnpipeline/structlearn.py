@@ -7,9 +7,10 @@ lexicographically so results are stable across platforms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,112 +121,115 @@ def _has_path(children: dict[str, set[str]], src: str, dst: str) -> bool:
     return False
 
 
+def _adjacency(nodes: Sequence[str], edges: Sequence[tuple[str, str]]) -> tuple[dict, dict]:
+    """(parents, children): each node's set of parents and of children."""
+    parents: dict[str, set[str]] = {n: set() for n in nodes}
+    children: dict[str, set[str]] = {n: set() for n in nodes}
+    for p, c in edges:
+        parents[c].add(p)
+        children[p].add(c)
+    return parents, children
+
+
+def _legal_moves(
+    ordered: Sequence[str], children: dict[str, set[str]], constraints: EdgeConstraints
+) -> Iterator[tuple[str, str, str]]:
+    """Every single-arc add, delete or reverse that keeps the graph acyclic
+    and the constraints met, as (op, u, v) for the arc u -> v."""
+    for u in ordered:
+        for v in ordered:
+            if u == v or v in children[u] or constraints.forbids(u, v):
+                continue
+            if not _has_path(children, v, u):
+                yield "add", u, v
+    for u in ordered:
+        for v in sorted(children[u]):
+            if not constraints.requires(u, v):
+                yield "delete", u, v
+    for u in ordered:
+        for v in sorted(children[u]):
+            if constraints.requires(u, v) or constraints.forbids(v, u):
+                continue
+            children[u].discard(v)
+            creates_cycle = _has_path(children, u, v)
+            children[u].add(v)
+            if not creates_cycle:
+                yield "reverse", u, v
+
+
+def _apply(
+    parents: dict[str, set[str]], children: dict[str, set[str]], op: str, u: str, v: str
+) -> None:
+    if op in ("delete", "reverse"):
+        parents[v].discard(u)
+        children[u].discard(v)
+    if op == "add":
+        parents[v].add(u)
+        children[u].add(v)
+    elif op == "reverse":
+        parents[u].add(v)
+        children[v].add(u)
+
+
 def _greedy_climb(
     nodes: Sequence[str],
     start_edges: Sequence[tuple[str, str]],
     local_score: Callable[[str, tuple[str, ...]], float],
     constraints: EdgeConstraints,
 ) -> tuple[tuple[tuple[str, str], ...], float]:
-    parents: dict[str, set[str]] = {n: set() for n in nodes}
-    children: dict[str, set[str]] = {n: set() for n in nodes}
-    for p, c in start_edges:
-        parents[c].add(p)
-        children[p].add(c)
-
-    cache: dict[tuple[str, tuple[str, ...]], float] = {}
+    """Best-improvement climb from start_edges. local_score(node, parents)
+    gets the parents as a sorted tuple."""
+    parents, children = _adjacency(nodes, start_edges)
 
     def score_of(node: str, pset: set[str]) -> float:
-        key = (node, tuple(sorted(pset)))
-        if key not in cache:
-            cache[key] = local_score(node, key[1])
-        return cache[key]
+        return local_score(node, tuple(sorted(pset)))
+
+    def gain(op: str, u: str, v: str) -> float:
+        if op == "add":
+            return score_of(v, parents[v] | {u}) - score_of(v, parents[v])
+        delta = score_of(v, parents[v] - {u}) - score_of(v, parents[v])
+        if op == "delete":
+            return delta
+        return delta + score_of(u, parents[u] | {v}) - score_of(u, parents[u])
 
     total = sum(score_of(n, parents[n]) for n in nodes)
     ordered = sorted(nodes)
     tol = 1e-9  # deltas this close count as ties so direction is deterministic
     while True:
-        moves: list[tuple[tuple[str, str, str], float]] = []
-        for u in ordered:
-            for v in ordered:
-                if u == v:
-                    continue
-                if v in children[u]:
-                    continue
-                if constraints.forbids(u, v):
-                    continue
-                if _has_path(children, v, u):
-                    continue
-                delta = score_of(v, parents[v] | {u}) - score_of(v, parents[v])
-                moves.append((("add", u, v), delta))
-        for u in ordered:
-            for v in sorted(children[u]):
-                if constraints.requires(u, v):
-                    continue
-                moves.append(
-                    (("delete", u, v), score_of(v, parents[v] - {u}) - score_of(v, parents[v]))
-                )
-        for u in ordered:
-            for v in sorted(children[u]):
-                if constraints.requires(u, v) or constraints.forbids(v, u):
-                    continue
-                children[u].discard(v)
-                creates_cycle = _has_path(children, u, v)
-                children[u].add(v)
-                if creates_cycle:
-                    continue
-                delta = (
-                    score_of(v, parents[v] - {u})
-                    - score_of(v, parents[v])
-                    + score_of(u, parents[u] | {v})
-                    - score_of(u, parents[u])
-                )
-                moves.append((("reverse", u, v), delta))
+        moves = [(move, gain(*move)) for move in _legal_moves(ordered, children, constraints)]
         if not moves:
             break
         best_delta = max(delta for _, delta in moves)
         if best_delta <= tol:
             break
-        (op, u, v), step = min((key, d) for key, d in moves if d >= best_delta - tol)
-        if op == "add":
-            parents[v].add(u)
-            children[u].add(v)
-        elif op == "delete":
-            parents[v].discard(u)
-            children[u].discard(v)
-        else:
-            parents[v].discard(u)
-            children[u].discard(v)
-            parents[u].add(v)
-            children[v].add(u)
+        move, step = min((key, d) for key, d in moves if d >= best_delta - tol)
+        _apply(parents, children, *move)
         total += step
-
-    edges = tuple(sorted((p, c) for c, ps in parents.items() for p in ps))
-    return edges, total
+    return tuple(sorted((p, c) for c, ps in parents.items() for p in ps)), total
 
 
-def _random_start(
-    nodes: Sequence[str], constraints: EdgeConstraints, rng: np.random.Generator
-) -> list[tuple[str, str]]:
-    """Random order-respecting DAG on top of the whitelist.
+# random legal moves that turn the best DAG so far into a restart's start, as
+# bnlearn's hc(restart, perturb) does (Scutari 2010, J. Stat. Softw. 35(3));
+# a few moves keep every family near the sizes the data supports
+PERTURB_MOVES = 5
 
-    Whitelist edges may point against the sampled order, so each candidate
-    edge is checked against the full graph rather than trusted to the order.
-    """
-    order = list(rng.permutation(list(nodes)))
-    edges = list(constraints.whitelist)
-    present = set(edges)
-    for i, u in enumerate(order):
-        for v in order[i + 1 :]:
-            if (u, v) in present or constraints.forbids(u, v):
-                continue
-            if rng.random() < 0.25:
-                try:
-                    Dag(tuple(nodes), tuple(edges + [(u, v)]))
-                except GraphError:
-                    continue
-                edges.append((u, v))
-                present.add((u, v))
-    return edges
+
+def _perturb(
+    nodes: Sequence[str],
+    edges: Sequence[tuple[str, str]],
+    constraints: EdgeConstraints,
+    rng: np.random.Generator,
+) -> tuple[tuple[str, str], ...]:
+    """edges after PERTURB_MOVES moves, each drawn uniformly from the legal
+    adds, deletes and reverses of the graph the previous move left."""
+    parents, children = _adjacency(nodes, edges)
+    ordered = sorted(nodes)
+    for _ in range(PERTURB_MOVES):
+        moves = list(_legal_moves(ordered, children, constraints))
+        if not moves:
+            break
+        _apply(parents, children, *moves[rng.integers(len(moves))])
+    return tuple(sorted((p, c) for c, ps in parents.items() for p in ps))
 
 
 def _search(
@@ -235,6 +239,7 @@ def _search(
     restarts: int,
     seed: int,
 ) -> tuple[Dag, float]:
+    """hill_climb's search; every climb calls local_score, so pass a memo."""
     names = data.schema.names
     if len(names) < 2:
         raise ValueError("need at least 2 variables")
@@ -246,7 +251,7 @@ def _search(
     best_edges, best_score = _greedy_climb(names, cons.whitelist, local_score, cons)
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        start = _random_start(names, cons, rng)
+        start = _perturb(names, best_edges, cons, rng)
         edges, score = _greedy_climb(names, start, local_score, cons)
         if score > best_score:
             best_edges, best_score = edges, score
@@ -263,11 +268,13 @@ def hill_climb(
 
     The returned structure is a local optimum: no single constrained arc
     change improves the score. Equal-score moves resolve to the
-    lexicographically smallest (operation, parent, child).
+    lexicographically smallest (operation, parent, child). Each restart
+    climbs from the best DAG so far after PERTURB_MOVES random legal moves,
+    drawn from SeedSequence(seed, spawn_key=(k,)) for restart k; the best
+    climb is kept, and every climb shares one memo of family scores.
     """
-    dag, score = _search(
-        data, lambda node, ps: local_bic(data, node, ps), constraints, restarts, seed
-    )
+    bic = functools.cache(functools.partial(local_bic, data))
+    dag, score = _search(data, bic, constraints, restarts, seed)
     return CandidateModel(
         "hc", dag,
         {"algorithm": "hill_climb", "score": "bic", "restarts": restarts, "seed": seed,
@@ -279,36 +286,28 @@ def bd_learn(
     data: Dataset,
     constraints: EdgeConstraints | None = None,
     alpha0: float = 1.0,
+    bdeu_ess: float | None = None,
     seed: int = 0,
 ) -> CandidateModel:
-    """Maximize the Dirichlet marginal-likelihood score.
+    """Maximize the Dirichlet marginal-likelihood score under the prior
+    build_ranking ranks by: bdeu_ess when given, else flat alpha0.
 
     Up to 5 variables every DAG is enumerated; beyond that the greedy
     searcher runs with the marginal likelihood in place of BIC.
     """
     names = data.schema.names
-    local = lambda node, ps: local_log_marginal_likelihood(data, node, ps, alpha0)
+    local = functools.cache(
+        functools.partial(local_log_marginal_likelihood, data, alpha0=alpha0, bdeu_ess=bdeu_ess)
+    )
+    prior = {"alpha0": alpha0, "bdeu_ess": bdeu_ess}
     if len(names) > 5:
         dag, score = _search(data, local, constraints, 0, seed)
         return CandidateModel(
-            "bd", dag,
-            {"algorithm": "bd_greedy", "alpha0": alpha0, "seed": seed, "final_score": score},
+            "bd", dag, {"algorithm": "bd_greedy", **prior, "seed": seed, "final_score": score}
         )
 
     cons = constraints or EdgeConstraints()
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    cache: dict[tuple[str, tuple[str, ...]], float] = {}
-
-    def score_edges(edges: tuple[tuple[str, str], ...]) -> float:
-        total = 0.0
-        for node in names:
-            ps = tuple(sorted(p for p, c in edges if c == node))
-            key = (node, ps)
-            if key not in cache:
-                cache[key] = local(node, ps)
-            total += cache[key]
-        return total
-
     best_edges: tuple[tuple[str, str], ...] | None = None
     best_score = -np.inf
     required = set(cons.whitelist)
@@ -333,7 +332,7 @@ def bd_learn(
             Dag(names, tuple(edges))
         except GraphError:
             continue
-        score = score_edges(tuple(edges))
+        score = sum(local(node, tuple(sorted(p for p, c in edges if c == node))) for node in names)
         if score > best_score:
             best_score = score
             best_edges = tuple(sorted(edges))
@@ -341,7 +340,7 @@ def bd_learn(
         raise ConstraintError("no DAG satisfies the constraints")
     return CandidateModel(
         "bd", Dag(names, best_edges),
-        {"algorithm": "bd_exhaustive", "alpha0": alpha0, "final_score": best_score},
+        {"algorithm": "bd_exhaustive", **prior, "final_score": best_score},
     )
 
 

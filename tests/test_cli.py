@@ -21,6 +21,7 @@ from bnpipeline.config import ConfigError, dump_config, load_config, parse_confi
 from bnpipeline.dataset import Dataset, Schema, VariableSpec, make_split, write_csv, write_schema
 from bnpipeline.simulate import benchmark_network, sample_dataset
 from test_bayesnet import five_state_chain
+from test_family_scores import wide_tree_data
 
 DEMO = Path(__file__).resolve().parents[1] / "data"
 
@@ -294,6 +295,20 @@ class TestPipelinePhases:
         labels = (workspace / "out" / "surviving_models.txt").read_text().split()
         assert "naive" in labels
         assert (workspace / "out" / "structures" / "naive.structure").is_file()
+
+    def test_bd_searches_under_the_prior_compare_ranks_by(self, workspace):
+        # bd's exhaustive search over the four selected variables finds the
+        # BDeu optimum; here the optimum under flat alpha0 = 1 ranks below tan
+        with open("pipeline.ini", "a", encoding="utf-8") as handle:
+            handle.write("\n[model]\nbdeu_ess = 100\n")
+        for cmd in ("select", "learn", "compare"):
+            assert run(cmd, "--config", "pipeline.ini") == 0
+        with open(workspace / "out" / "bf_pairwise.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 15  # six candidates
+        for row in rows:
+            if row["model_2"] == "bd":
+                assert float(row["log_bf"]) < 1e-9, row
 
     def test_learn_again_removes_the_other_candidates(self, workspace):
         for cmd in ("select", "learn"):
@@ -735,6 +750,24 @@ class TestExitCodes:
         for label in ("chowliu", "naive"):
             lines = (workspace / "out" / f"sensitivity_{label}.csv").read_text().splitlines()
             assert len(lines) == 1 + 59
+
+    def test_learn_with_restarts_on_thirty_wide_variables(self, workspace, capsys):
+        # a restart from a dense random DAG would need family tables over the
+        # 10,000,000-cell cap here; one from the perturbed best DAG does not
+        data = wide_tree_data(30)
+        write_csv(data, workspace / "wide.csv")
+        write_schema(data.schema, workspace / "wide.schema")
+        (workspace / "wide.ini").write_text(
+            CONFIG.format(min_mi=0.0, min_cmi=0.0, keep="", rhat="1.1")
+            .replace("tiny.csv", "wide.csv").replace("tiny.schema", "wide.schema")
+            .replace("learners = hc, chowliu, tan, naive, bd", "learners = hc\nhc_restarts = 3")
+            .replace("user_structures = truth=truth.structure", ""),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert run("learn", "--config", "wide.ini") == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_structure(workspace / "out" / "structures" / "hc.structure").nodes) == 30
 
     def test_family_table_over_the_cap_is_3(self, workspace, capsys):
         # T with 16 five-state parents: 5^17 cells, a 6 TB count table
