@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled demo: dataset, schema, ground-truth structures, config.
+"""Regenerate the sampled demo inputs: dataset, schema, ground-truth structures.
 
-Writes everything under data/ (relative to the repository root). The dataset
-is sampled from the declared benchmark network, so the demo pipeline can be
-checked against a known answer.
+Writes them under data/ (relative to the repository root), beside the
+hand-written demo config data/pipeline.ini, which this leaves as it is. The
+dataset is sampled from the declared benchmark network, so the demo pipeline
+can be checked against a known answer.
 """
 
 from __future__ import annotations
@@ -20,41 +21,6 @@ from bnpipeline.simulate import benchmark_alternative, benchmark_network, sample
 N_RECORDS = 1000
 DATA_SEED = 11
 
-CONFIG = """\
-# Demo pipeline over the bundled synthetic dataset.
-[data]
-dataset = data/synthetic.csv
-schema = data/synthetic.schema
-
-[selection]
-min_mi = 0.002
-min_cmi = 0.002
-
-[learn]
-learners = hc, chowliu, tan, naive
-user_structures = truth=data/truth.structure, alt=data/alt.structure
-
-[split]
-seed = 7
-test_fraction = 0.15
-fold_count = 10
-fold_fraction = 0.08
-
-[mcmc]
-chains = 3
-adapt_iters = 500
-burnin_iters = 500
-sample_iters = 2000
-
-[predict]
-mode = mcmc
-cv_mode = exact
-
-[output]
-dir = out
-rhat_threshold = 1.1
-"""
-
 
 def main() -> None:
     root = Path(__file__).resolve().parents[1]
@@ -66,7 +32,6 @@ def main() -> None:
     write_schema(schema, data_dir / "synthetic.schema")
     write_structure(dag, data_dir / "truth.structure")
     write_structure(benchmark_alternative(dag), data_dir / "alt.structure")
-    (data_dir / "pipeline.ini").write_text(CONFIG, encoding="utf-8")
     print(f"wrote demo inputs under {data_dir}")
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every pipeline phase over the bundled demo inputs.
 
-Regenerates data/ if it is missing, then runs select through report with the
-demo config. Pass --seed to try a different train/test split.
+Regenerates the sampled demo inputs if data/synthetic.csv is missing, then
+runs select through report with the demo config data/pipeline.ini. Pass
+--seed to try a different train/test split.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bnpipeline.cli import main as pipeline
-
-PHASES = ("select", "learn", "compare", "cv", "fit-predict", "report")
+from bnpipeline.cli import _COMMANDS, main as pipeline
 
 
 def main() -> int:
@@ -29,10 +28,10 @@ def main() -> int:
     root = Path(__file__).resolve().parents[1]
     os.chdir(root)  # the demo config uses repo-relative paths
     config = root / "data" / "pipeline.ini"
-    if not config.is_file():
+    if not (root / "data" / "synthetic.csv").is_file():
         subprocess.run([sys.executable, str(root / "scripts" / "make_synthetic.py")], check=True)
 
-    for phase in PHASES:
+    for phase in _COMMANDS:
         argv = [phase, "--config", str(config)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]

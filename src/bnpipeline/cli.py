@@ -166,9 +166,7 @@ def _learn_candidates(cfg: PipelineConfig, data: Dataset) -> list[structlearn.Ca
             elif learner == "naive":
                 candidates.append(structlearn.naive(data, target))
             elif learner == "bd":
-                candidates.append(
-                    structlearn.bd_learn(data, constraints, cfg.alpha0, cfg.bdeu_ess, seed=cfg.seed)
-                )
+                candidates.append(structlearn.bd_learn(data, constraints, cfg.alpha0, cfg.bdeu_ess))
         except (ValueError, structlearn.ConstraintError) as exc:
             raise DataError(f"learner {learner!r} failed: {exc}") from exc
     for label, path in cfg.user_structures:

@@ -8,7 +8,7 @@ reproduces the run exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .dataset import DataError, content_lines, read_text
@@ -21,45 +21,53 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+def _key(section: str, key: str, kind: str, default=MISSING):
+    """The field read from `key` under `[section]`; kind drives parsing and
+    serialization. A field with no default is a required key."""
+    return field(default=default, metadata={"section": section, "key": key, "kind": kind})
+
+
+@dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
-    dataset_path: str
-    schema_path: str
-    seed: int
-    out_dir: str = "out"
-    target: str | None = None
+    """One field per config key, in the order dump_config writes them."""
 
-    min_mi: float = 0.0
-    min_cmi: float = 0.0
-    keep: tuple[str, ...] = ()
-    hist_bins: int = 20
+    dataset_path: str = _key("data", "dataset", "str")
+    schema_path: str = _key("data", "schema", "str")
+    target: str | None = _key("data", "target", "optstr", None)
 
-    learners: tuple[str, ...] = ("chowliu", "tan", "naive")
-    constraints_path: str | None = None
-    orientation_path: str | None = None
-    hc_restarts: int = 0
-    user_structures: tuple[tuple[str, str], ...] = ()
+    min_mi: float = _key("selection", "min_mi", "float", 0.0)
+    min_cmi: float = _key("selection", "min_cmi", "float", 0.0)
+    keep: tuple[str, ...] = _key("selection", "keep", "strlist", ())
+    hist_bins: int = _key("selection", "hist_bins", "int", 20)
 
-    alpha0: float = 1.0
-    bdeu_ess: float | None = None
+    learners: tuple[str, ...] = _key("learn", "learners", "strlist", ("chowliu", "tan", "naive"))
+    constraints_path: str | None = _key("learn", "constraints", "optstr", None)
+    orientation_path: str | None = _key("learn", "chowliu_orientation", "optstr", None)
+    hc_restarts: int = _key("learn", "hc_restarts", "int", 0)
+    user_structures: tuple[tuple[str, str], ...] = _key("learn", "user_structures", "pairs", ())
 
-    test_fraction: float = 0.15
-    fold_count: int = 10
-    fold_fraction: float = 0.08
+    alpha0: float = _key("model", "alpha0", "float", 1.0)
+    bdeu_ess: float | None = _key("model", "bdeu_ess", "optfloat", None)
 
-    chains: int = 3
-    adapt_iters: int = 1000
-    burnin_iters: int = 1000
-    sample_iters: int = 10000
-    thin: int = 1
-    monitor: tuple[str, ...] = ()
+    seed: int = _key("split", "seed", "int")
+    test_fraction: float = _key("split", "test_fraction", "float", 0.15)
+    fold_count: int = _key("split", "fold_count", "int", 10)
+    fold_fraction: float = _key("split", "fold_fraction", "float", 0.08)
 
-    predict_mode: str = "mcmc"
-    cv_mode: str = "exact"
-    literal_rmse: bool = False
-    chosen_model: str | None = None
+    chains: int = _key("mcmc", "chains", "int", 3)
+    adapt_iters: int = _key("mcmc", "adapt_iters", "int", 1000)
+    burnin_iters: int = _key("mcmc", "burnin_iters", "int", 1000)
+    sample_iters: int = _key("mcmc", "sample_iters", "int", 10000)
+    thin: int = _key("mcmc", "thin", "int", 1)
+    monitor: tuple[str, ...] = _key("mcmc", "monitor", "strlist", ())
 
-    rhat_threshold: float = 1.1
+    predict_mode: str = _key("predict", "mode", "str", "mcmc")
+    cv_mode: str = _key("predict", "cv_mode", "str", "exact")
+    literal_rmse: bool = _key("predict", "literal_rmse", "bool", False)
+    chosen_model: str | None = _key("predict", "model", "optstr", None)
+
+    out_dir: str = _key("output", "dir", "str", "out")
+    rhat_threshold: float = _key("output", "rhat_threshold", "float", 1.1)
 
     def mcmc_config(self) -> McmcConfig:
         return McmcConfig(
@@ -70,43 +78,6 @@ class PipelineConfig:
             sample_iters=self.sample_iters,
             thin=self.thin,
         )
-
-
-# (section, key) -> (attribute, kind); kind drives parsing and serialization
-_LAYOUT: list[tuple[str, str, str, str]] = [
-    ("data", "dataset", "dataset_path", "str"),
-    ("data", "schema", "schema_path", "str"),
-    ("data", "target", "target", "optstr"),
-    ("selection", "min_mi", "min_mi", "float"),
-    ("selection", "min_cmi", "min_cmi", "float"),
-    ("selection", "keep", "keep", "strlist"),
-    ("selection", "hist_bins", "hist_bins", "int"),
-    ("learn", "learners", "learners", "strlist"),
-    ("learn", "constraints", "constraints_path", "optstr"),
-    ("learn", "chowliu_orientation", "orientation_path", "optstr"),
-    ("learn", "hc_restarts", "hc_restarts", "int"),
-    ("learn", "user_structures", "user_structures", "pairs"),
-    ("model", "alpha0", "alpha0", "float"),
-    ("model", "bdeu_ess", "bdeu_ess", "optfloat"),
-    ("split", "seed", "seed", "int"),
-    ("split", "test_fraction", "test_fraction", "float"),
-    ("split", "fold_count", "fold_count", "int"),
-    ("split", "fold_fraction", "fold_fraction", "float"),
-    ("mcmc", "chains", "chains", "int"),
-    ("mcmc", "adapt_iters", "adapt_iters", "int"),
-    ("mcmc", "burnin_iters", "burnin_iters", "int"),
-    ("mcmc", "sample_iters", "sample_iters", "int"),
-    ("mcmc", "thin", "thin", "int"),
-    ("mcmc", "monitor", "monitor", "strlist"),
-    ("predict", "mode", "predict_mode", "str"),
-    ("predict", "cv_mode", "cv_mode", "str"),
-    ("predict", "literal_rmse", "literal_rmse", "bool"),
-    ("predict", "model", "chosen_model", "optstr"),
-    ("output", "dir", "out_dir", "str"),
-    ("output", "rhat_threshold", "rhat_threshold", "float"),
-]
-
-_REQUIRED = {"dataset_path", "schema_path", "seed"}
 
 
 def _parse_value(kind: str, raw: str, where: str):
@@ -175,10 +146,9 @@ def _format_value(kind: str, value) -> str:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
-    known = {(s, k): (attr, kind) for s, k, attr, kind in _LAYOUT}
+    known = {(f.metadata["section"], f.metadata["key"]): f for f in fields(PipelineConfig)}
     section = None
     values: dict[str, object] = {}
-    seen: set[str] = set()
     for lineno, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
@@ -190,12 +160,11 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
             raise ConfigError(f"{source}:{lineno}: key {key!r} outside any [section]")
         if (section, key) not in known:
             raise ConfigError(f"{source}:{lineno}: unknown key [{section}] {key}")
-        attr, kind = known[(section, key)]
-        if attr in seen:
+        spec = known[(section, key)]
+        if spec.name in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key [{section}] {key}")
-        seen.add(attr)
-        values[attr] = _parse_value(kind, raw_value, f"{source}:{lineno}")
-    missing = _REQUIRED - seen
+        values[spec.name] = _parse_value(spec.metadata["kind"], raw_value, f"{source}:{lineno}")
+    missing = [f.name for f in known.values() if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"{source}: missing required settings: {sorted(missing)}")
     cfg = PipelineConfig(**values)  # type: ignore[arg-type]
@@ -270,13 +239,14 @@ def _input_files(cfg: PipelineConfig) -> list[tuple[str, str]]:
 def dump_config(cfg: PipelineConfig) -> str:
     lines = []
     current = None
-    for section, key, attr, kind in _LAYOUT:
+    for f in fields(cfg):
+        section = f.metadata["section"]
         if section != current:
             if current is not None:
                 lines.append("")
             lines.append(f"[{section}]")
             current = section
-        lines.append(f"{key} = {_format_value(kind, getattr(cfg, attr))}")
+        lines.append(f"{f.metadata['key']} = {_format_value(f.metadata['kind'], getattr(cfg, f.name))}")
     return "\n".join(lines) + "\n"
 
 

@@ -78,6 +78,10 @@ def log_bayes_factor(
     )
 
 
+# the label of the naive-Bayes benchmark that below_naive measures against
+BENCHMARK = "naive"
+
+
 @dataclass(frozen=True)
 class ModelRanking:
     """Ranked candidate structures with pairwise and chained log Bayes factors.
@@ -97,7 +101,7 @@ class ModelRanking:
 
 def build_ranking(
     candidates: Sequence, data: Dataset, alpha0: float = 1.0,
-    bdeu_ess: float | None = None, benchmark: str = "naive",
+    bdeu_ess: float | None = None,
 ) -> ModelRanking:
     """Score candidate models (objects with .label and .dag) and rank them."""
     if len(candidates) < 2:
@@ -125,7 +129,7 @@ def build_ranking(
     below = tuple(
         label
         for label, s in entries
-        if benchmark in scores and label != benchmark and s < scores[benchmark]
+        if BENCHMARK in scores and label != BENCHMARK and s < scores[BENCHMARK]
     )
     return ModelRanking(entries, chain, tuple(pairwise), below)
 

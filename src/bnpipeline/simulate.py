@@ -76,6 +76,21 @@ def benchmark_network(seed: int = 20240613) -> tuple[Dag, Schema, dict[str, np.n
     return dag, schema, tables
 
 
+def random_tree_network(variables: int, seed: int = 60) -> tuple[Dag, Schema, dict[str, np.ndarray]]:
+    """A random tree of five-state variables: the uniform target T, then
+    X1..X{variables-1}, each the child of a uniformly drawn earlier node
+    through a _channel CPT. Wide-data checks sample it."""
+    rng = np.random.default_rng(seed)
+    names = ("T",) + tuple(f"X{i}" for i in range(1, variables))
+    schema = Schema(tuple(
+        VariableSpec(name, tuple("12345"), "target" if name == "T" else "predictor")
+        for name in names
+    ))
+    edges = tuple((names[int(rng.integers(0, i))], names[i]) for i in range(1, variables))
+    tables = {"T": np.full((1, 5), 0.2), **{child: _channel(rng, 5) for _, child in edges}}
+    return Dag(names, edges), schema, tables
+
+
 def benchmark_alternative(dag: Dag) -> Dag:
     """Expert-style counterproposal: the same tree with the EVAL -> F1 link cut,
     so the F1 subtree no longer informs the target."""

@@ -232,10 +232,19 @@ def _perturb(
     return tuple(sorted((p, c) for c, ps in parents.items() for p in ps))
 
 
+def _checked(constraints: EdgeConstraints | None, names: Sequence[str]) -> EdgeConstraints:
+    """The constraints (none: the empty set) once every edge names a variable."""
+    cons = constraints or EdgeConstraints()
+    for p, c in cons.whitelist + cons.blacklist:
+        if p not in names or c not in names:
+            raise ConstraintError(f"constraint edge ({p}, {c}) references unknown variable")
+    return cons
+
+
 def _search(
     data: Dataset,
     local_score: Callable[[str, tuple[str, ...]], float],
-    constraints: EdgeConstraints | None,
+    cons: EdgeConstraints,
     restarts: int,
     seed: int,
 ) -> tuple[Dag, float]:
@@ -243,11 +252,6 @@ def _search(
     names = data.schema.names
     if len(names) < 2:
         raise ValueError("need at least 2 variables")
-    cons = constraints or EdgeConstraints()
-    for p, c in cons.whitelist + cons.blacklist:
-        if p not in names or c not in names:
-            raise ConstraintError(f"constraint edge ({p}, {c}) references unknown variable")
-
     best_edges, best_score = _greedy_climb(names, cons.whitelist, local_score, cons)
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
@@ -274,7 +278,7 @@ def hill_climb(
     climb is kept, and every climb shares one memo of family scores.
     """
     bic = functools.cache(functools.partial(local_bic, data))
-    dag, score = _search(data, bic, constraints, restarts, seed)
+    dag, score = _search(data, bic, _checked(constraints, data.schema.names), restarts, seed)
     return CandidateModel(
         "hc", dag,
         {"algorithm": "hill_climb", "score": "bic", "restarts": restarts, "seed": seed,
@@ -287,7 +291,6 @@ def bd_learn(
     constraints: EdgeConstraints | None = None,
     alpha0: float = 1.0,
     bdeu_ess: float | None = None,
-    seed: int = 0,
 ) -> CandidateModel:
     """Maximize the Dirichlet marginal-likelihood score under the prior
     build_ranking ranks by: bdeu_ess when given, else flat alpha0.
@@ -296,17 +299,16 @@ def bd_learn(
     searcher runs with the marginal likelihood in place of BIC.
     """
     names = data.schema.names
+    cons = _checked(constraints, names)
     local = functools.cache(
         functools.partial(local_log_marginal_likelihood, data, alpha0=alpha0, bdeu_ess=bdeu_ess)
     )
     prior = {"alpha0": alpha0, "bdeu_ess": bdeu_ess}
     if len(names) > 5:
-        dag, score = _search(data, local, constraints, 0, seed)
-        return CandidateModel(
-            "bd", dag, {"algorithm": "bd_greedy", **prior, "seed": seed, "final_score": score}
-        )
+        # no restarts, so the search draws nothing and its seed is moot
+        dag, score = _search(data, local, cons, restarts=0, seed=0)
+        return CandidateModel("bd", dag, {"algorithm": "bd_greedy", **prior, "final_score": score})
 
-    cons = constraints or EdgeConstraints()
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     best_edges: tuple[tuple[str, str], ...] | None = None
     best_score = -np.inf

@@ -696,6 +696,24 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("data error: bad.constraints:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("learner", ["hc", "bd"])
+    @pytest.mark.parametrize("rule", ["require", "forbid"])
+    def test_constraint_naming_an_unknown_variable_is_3(self, workspace, capsys, learner, rule):
+        # bd on the four selected variables enumerates every DAG; it must
+        # check the names as hc does rather than ignore or misreport them
+        Path("unknown.constraints").write_text(f"{rule} ZZ -> T\n", encoding="utf-8")
+        Path("unknown.ini").write_text(
+            CONFIG.format(min_mi=0.05, min_cmi=0.08, keep="", rhat="1.1")
+            .replace("learners = hc, chowliu, tan, naive, bd", f"learners = {learner}\nconstraints = unknown.constraints"),
+            encoding="utf-8",
+        )
+        assert run("select", "--config", "unknown.ini") == 0
+        capsys.readouterr()
+        assert run("learn", "--config", "unknown.ini") == 3
+        assert capsys.readouterr().err == (
+            f"data error: learner {learner!r} failed: constraint edge (ZZ, T) references unknown variable\n"
+        )
+
     @pytest.mark.parametrize("edges", ["T -> ZZZ", "T -> P"], ids=["unknown variable", "two nodes"])
     def test_stored_structure_that_does_not_cover_the_selection_is_3(self, workspace, capsys, edges):
         # a structure file added under out/structures after learn: one naming

@@ -17,7 +17,7 @@ from bnpipeline import structlearn
 from bnpipeline.bayesnet import Dag, GraphError
 from bnpipeline.dataset import Dataset, Schema, VariableSpec
 from bnpipeline.modelselect import ModelRanking, build_ranking, local_log_marginal_likelihood
-from bnpipeline.simulate import _channel, sample_dataset
+from bnpipeline.simulate import random_tree_network, sample_dataset
 from bnpipeline.structlearn import (
     CandidateModel,
     EdgeConstraints,
@@ -199,7 +199,7 @@ def reference_log_marginal_likelihood(dag, data, prior, scored):
     return sum(scored[family] for family in families)
 
 
-def reference_build_ranking(candidates, data, prior, benchmark="naive"):
+def reference_build_ranking(candidates, data, prior):
     scored = {}
     scores = {
         c.label: reference_log_marginal_likelihood(c.dag, data, prior, scored) for c in candidates
@@ -216,7 +216,7 @@ def reference_build_ranking(candidates, data, prior, benchmark="naive"):
     below = tuple(
         label
         for label, s in entries
-        if benchmark in scores and label != benchmark and s < scores[benchmark]
+        if "naive" in scores and label != "naive" and s < scores["naive"]
     )
     return ModelRanking(entries, chain, pairwise, below)
 
@@ -315,18 +315,9 @@ def test_ranking_equals_the_shared_dict(problem, prior, seed):
 
 # -- restarts -----------------------------------------------------------------
 
-def wide_tree_data(v, n=5000, seed=60):
-    """A random five-state tree rooted at T, each node's parent uniform over
-    the earlier nodes and each CPT a noisy channel, sampled n times."""
-    rng = np.random.default_rng(seed)
-    names = ["T"] + [f"X{i}" for i in range(1, v)]
-    schema = Schema(tuple(
-        VariableSpec(name, tuple("12345"), "target" if name == "T" else "predictor")
-        for name in names
-    ))
-    edges = tuple((names[int(rng.integers(0, i))], names[i]) for i in range(1, v))
-    tables = {"T": np.full((1, 5), 0.2), **{child: _channel(rng, 5) for _, child in edges}}
-    return sample_dataset(Dag(tuple(names), edges), schema, tables, n, seed=5)
+def wide_tree_data(v, n=5000):
+    """n records of simulate.random_tree_network(v), as CI's wide steps draw them."""
+    return sample_dataset(*random_tree_network(v), n, seed=5)
 
 
 @pytest.mark.parametrize("v, n", [(8, 300), (20, 2000)])

@@ -401,6 +401,17 @@ class TestBdLearn:
         assert ("B", "C") not in model.dag.edges
 
 
+@pytest.mark.parametrize("learner", [hill_climb, bd_learn], ids=["hc", "bd"])
+@pytest.mark.parametrize("variables", [4, 7])
+@pytest.mark.parametrize("rule", ["require", "forbid"])
+def test_constraint_naming_an_unknown_variable_is_rejected(learner, variables, rule):
+    # bd enumerates every DAG up to five variables and searches greedily above
+    data = independent_data(m=variables, n=50, seed=17)
+    cons = EdgeConstraints(**{"whitelist" if rule == "require" else "blacklist": (("ZZ", "A"),)})
+    with pytest.raises(ConstraintError, match=r"^constraint edge \(ZZ, A\) references unknown variable$"):
+        learner(data, cons)
+
+
 class TestConstraintFiles:
     def test_parse(self, tmp_path):
         path = tmp_path / "cons.txt"
