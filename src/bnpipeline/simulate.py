@@ -76,11 +76,12 @@ def benchmark_network(seed: int = 20240613) -> tuple[Dag, Schema, dict[str, np.n
     return dag, schema, tables
 
 
-def random_tree_network(variables: int, seed: int = 60) -> tuple[Dag, Schema, dict[str, np.ndarray]]:
+def random_tree_network(variables: int) -> tuple[Dag, Schema, dict[str, np.ndarray]]:
     """A random tree of five-state variables: the uniform target T, then
     X1..X{variables-1}, each the child of a uniformly drawn earlier node
     through a _channel CPT. Wide-data checks sample it."""
-    rng = np.random.default_rng(seed)
+    # fixed seed: CI's wide steps and the tests rely on this one tree
+    rng = np.random.default_rng(60)
     names = ("T",) + tuple(f"X{i}" for i in range(1, variables))
     schema = Schema(tuple(
         VariableSpec(name, tuple("12345"), "target" if name == "T" else "predictor")
