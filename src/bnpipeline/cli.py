@@ -25,7 +25,7 @@ import numpy as np
 from . import bayesnet, evaluation, infotheory, mcmc, modelselect, structlearn
 from .config import ConfigError, PipelineConfig, load_config, write_effective_config
 from .dataset import (
-    DataError, Dataset, content_lines, load_dataset, make_split, read_schema, store_counts, write_rows, write_split_plan,
+    DataError, Dataset, content_lines, load_dataset, make_split, read_schema, store_cache, write_rows, write_split_plan,
 )
 
 
@@ -46,10 +46,10 @@ def _out(cfg: PipelineConfig) -> Path:
 
 
 def _load_data(cfg: PipelineConfig) -> Dataset:
-    """The configured dataset under its schema, read through the records
-    cache in the output directory (load_dataset), which this creates: the
-    first phase of a run parses the CSV and the later ones load its
-    records, and the tables select counted."""
+    """The configured dataset under its schema, read through the cache
+    file in the output directory (load_dataset), which this creates: the
+    first phase of a run parses the CSV, and the later ones load its
+    records and the tables select counted from that one file."""
     schema = read_schema(cfg.schema_path)
     if cfg.target is not None and schema.target != cfg.target:
         raise ConfigError(
@@ -91,7 +91,7 @@ def cmd_select(cfg: PipelineConfig) -> None:
         raise ConfigError(f"[selection] keep names {unknown}, which are not schema variables")
     out = _out(cfg)
     pairwise, triple, delta = infotheory.build_score_tables(data)
-    store_counts(data, out)  # every later phase starts with these tables counted
+    store_cache(data, out)  # every later phase starts with these tables counted
     infotheory.write_score_table(pairwise, out / "score_mi.csv")
     infotheory.write_score_table(triple, out / "score_cmi.csv")
     infotheory.write_score_table(delta, out / "score_delta.csv")

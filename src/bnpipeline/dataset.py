@@ -130,8 +130,8 @@ class _TableMemo:
     the set of their variable names, each with the name order it was first
     counted in, in the order kept. It holds at most limit cells; a table
     that would pass the bound is not kept. schema names the variables of
-    the file store_counts writes, and key is that file's records key, set
-    by load_dataset (None: nothing to store)."""
+    the cache file store_cache writes, and key is that file's records key,
+    set by load_dataset (None: nothing to store)."""
 
     def __init__(self, schema: Schema, limit: int):
         self.schema, self.limit, self.cells = schema, limit, 0
@@ -238,10 +238,11 @@ def contingency_table(data: Dataset, names: Sequence[str], groups: np.ndarray | 
     cells bound of Dataset allows, and a later request for the same
     variables, in any order, is served from it: a new C-contiguous int64
     array, equal to a fresh count. So a phase counts a kept table once, and
-    none of the tables the run's select stored (store_counts), which
-    load_dataset gives every later phase. contingency_stacks, which counts
-    select's 1-, 2- and 3-way tables many to a pass, keeps its tables as a
-    call here for each, one after another, would."""
+    none of the tables the run's select stored in the cache file
+    (store_cache), which load_dataset gives every later phase.
+    contingency_stacks, which counts select's 1-, 2- and 3-way tables many
+    to a pass, keeps its tables as a call here for each, one after another,
+    would."""
     if groups is not None or len(set(names)) != len(names):
         return _count(data, names, groups)
     table = data._memo.get(names)
@@ -611,12 +612,13 @@ def ingest_csv(path: str | Path, schema: Schema) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# encoded-records cache
+# cache file: encoded records and count tables
 # ---------------------------------------------------------------------------
 
-# names the layout of a cache file; a new layout takes a new tag, so that
-# files of the old one are never read as it
+# part of every records key: a new meaning of the key takes a new tag
 _RECORDS_FORMAT = b"bnpipeline records: state indices, npy"
+
+_CACHE_MEMBERS = ("records.npy", "variables.npy", "counts.npy")
 
 
 def _records_key(path: str | Path, schema: Schema) -> str:
@@ -626,124 +628,75 @@ def _records_key(path: str | Path, schema: Schema) -> str:
     each part prefixed by its length so that no two inputs hash the same
     parts."""
     variables = repr([(v.name, v.states, v.role) for v in schema.variables])
+    return _digest(_RECORDS_FORMAT, Path(path).read_bytes(), variables.encode(), b",", b"utf-8")
+
+
+def _digest(*parts) -> str:
+    """Hex SHA-256 over parts, bytes or C-contiguous arrays, each prefixed
+    by its length in bytes."""
     digest = hashlib.sha256()
-    for part in (_RECORDS_FORMAT, Path(path).read_bytes(), variables.encode(), b",", b"utf-8"):
-        digest.update(len(part).to_bytes(8, "little"))
+    for part in parts:
+        digest.update(memoryview(part).nbytes.to_bytes(8, "little"))
         digest.update(part)
     return digest.hexdigest()
 
 
 def load_dataset(path: str | Path, schema: Schema, out_dir: str | Path) -> Dataset:
-    """ingest_csv's Dataset of a CSV, parsed once per input: its records
-    are kept in out_dir as records-<_records_key>-<SHA-256 of the array's
-    data bytes>.npy, in the smallest unsigned dtype that holds the schema's
-    largest state index. Its count tables start as those of
-    out_dir/counts-<same key>-<digest>.npz (store_counts), if one is usable.
+    """ingest_csv's Dataset of a CSV, parsed once per input, with the count
+    tables of the run's select: both are kept in out_dir as one file,
+    cache-<_records_key>-<SHA-256 of its arrays>.npz (store_cache).
 
-    A records file of the key is mapped read-only as an npy array, which
-    holds no pickles and allocates nothing for a header that claims more
-    rows than the file has, and Dataset checks its shape and range. A file
-    that cannot be read, is not exactly header plus array, or has the wrong
-    dtype, layout, shape, a state out of range or data that do not hash to
-    its name counts as absent. When it is absent, ingest_csv parses the CSV,
-    with all its errors and its warning about columns not in the schema,
-    which so shows only on a parse. The records are then written under a
-    temporary name and renamed into place (_replace_file), and every other
-    records-*.npy in out_dir is removed. A file that cannot be written is
-    skipped: it only saves a later call the parse. Editing the CSV or the
-    schema changes the name, and deleting the file costs one parse.
-
-    A counts file counts as absent, and its tables are counted again when
-    asked for, if it cannot be read, is not the two stored npy arrays of
-    store_counts, has the wrong dtype or shape, names a variable out of
-    range or a set of variables twice, holds more cells than the records
-    matrix, fails its digest, or holds a table whose cells do not sum to the
-    number of records.
+    The records and tables come from a cache file of the key if one is
+    usable. It counts as absent if it cannot be read, is not exactly the
+    three npy arrays store_cache writes, or fails a check: records of the
+    wrong dtype or shape or with a state out of range; variables or counts
+    of the wrong dtype or shape, naming a variable out of range or a set of
+    variables twice, holding more cells than the records matrix or a table
+    whose cells do not sum to the number of records; arrays that do not
+    hash to its name. When it is absent, ingest_csv parses the CSV, with
+    all its errors and its warning about columns not in the schema, which
+    so shows only on a parse, and store_cache writes the records with no
+    tables, which the phase counts again when asked for. Editing the CSV or
+    the schema changes the name, and deleting the file costs one parse.
     """
     out_dir = Path(out_dir)
     key = _records_key(path, schema)
-    data = _cached_records(path, schema, out_dir, key)
-    data._memo.key = key
-    for cached in out_dir.glob(f"counts-{key}-*.npz"):
+    for cached in out_dir.glob(f"cache-{key}-*.npz"):
         try:
-            tables = _read_counts(cached, data)
-        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, tokenize.TokenError):
-            continue  # absent, or not a file store_counts wrote: count again
-        for names, table in tables:
-            data._memo.keep(names, table)
-        break
-    return data
-
-
-def _cached_records(path: str | Path, schema: Schema, out_dir: Path, key: str) -> Dataset:
-    named = lambda records: f"records-{key}-{hashlib.sha256(records.ravel(order='F')).hexdigest()}.npy"
-    dtype = np.min_scalar_type(max(v.cardinality for v in schema.variables) - 1)
-    for cached in out_dir.glob(f"records-{key}-*.npy"):
-        try:
-            records = np.lib.format.open_memmap(cached, mode="r")
-            whole = records.offset + records.nbytes == os.path.getsize(cached)
-            if whole and records.dtype == dtype and records.flags.f_contiguous and named(records) == cached.name:
-                return Dataset(schema, records)
-        except (OSError, ValueError, EOFError, tokenize.TokenError, DataError):
-            # absent, or not a file this function wrote (numpy's npy header
+            return _read_cache(cached, schema, key)
+        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, tokenize.TokenError, DataError):
+            # absent, or not a file store_cache wrote (numpy's npy header
             # parser raises TokenError on some damaged headers): parse again
-            pass
+            continue
     data = ingest_csv(path, schema)
-    stored = data.records.astype(dtype, order="F")
-    _replace_file(out_dir, named(stored), lambda fh: np.save(fh, stored), "records-*.npy")
+    data._memo.key = key
+    store_cache(data, out_dir)
     return data
 
 
-def _replace_file(out_dir: Path, name: str, write, stale: str) -> None:
-    """Write out_dir/name through write(binary file) under a temporary
-    name, rename it into place and remove every other file of out_dir that
-    matches the glob stale. A file that cannot be written is skipped: a
-    cache file only saves later work. Nothing is forced to disk: every
-    cache file is named by the SHA-256 of its contents, which each read
-    checks, so a file that a crash left torn or unwritten counts as absent
-    and is made again."""
-    final, temporary = out_dir / name, out_dir / f".{name}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "wb") as fh:
-            write(fh)
-        os.replace(temporary, final)
-        for old in out_dir.glob(stale):
-            if old != final:
-                old.unlink()
-    except OSError:
-        temporary.unlink(missing_ok=True)
+def store_cache(data: Dataset, out_dir: str | Path) -> None:
+    """Write data's records and the tables kept on it (contingency_table)
+    to out_dir as cache-<records key>-<SHA-256 of its arrays>.npz, from
+    which load_dataset makes every later Dataset of the same CSV and schema.
 
-
-# ---------------------------------------------------------------------------
-# count-table cache
-# ---------------------------------------------------------------------------
-
-_COUNTS_MEMBERS = ("variables.npy", "counts.npy")
-
-
-def _counts_name(key: str, variables: np.ndarray, counts: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    for part in (variables.tobytes(), counts.tobytes()):
-        digest.update(len(part).to_bytes(8, "little"))
-        digest.update(part)
-    return f"counts-{key}-{digest.hexdigest()}.npz"
-
-
-def store_counts(data: Dataset, out_dir: str | Path) -> None:
-    """Write the tables kept on data (contingency_table) to out_dir as
-    counts-<records key>-<SHA-256 of its arrays>.npz, from which
-    load_dataset starts the tables of every later Dataset of the same
-    records. The npz holds two npy arrays and no pickles: variables, one
-    int64 row per table of the schema indices of its axes, padded with -1,
-    and counts, every table's cells in C order one after another, in the
+    The npz holds three npy arrays and no pickles: records, the (variables,
+    records) transpose of data's records in the smallest unsigned dtype
+    that holds the schema's largest state index; variables, one int64 row
+    per table of the schema indices of its axes, padded with -1; and
+    counts, every table's cells in C order one after another, in the
     smallest unsigned dtype that holds the number of records. Its entries
-    carry a fixed date, so that equal tables give equal bytes. The file is
-    written like the records file, and every other counts-*.npz in out_dir
-    is removed. Only a Dataset of load_dataset has a records key; for any
-    other, nothing is written."""
+    are stored uncompressed with a fixed date, so that equal arrays give
+    equal bytes. The file is written under a temporary name and renamed
+    into place, and every other cache-*.npz in out_dir is removed. A file
+    that cannot be written is skipped: it only saves later work. Nothing is
+    forced to disk: each read checks the name's digest, so a file that a
+    crash left torn or unwritten counts as absent and is made again. Only a
+    Dataset of load_dataset has a records key; for any other, nothing is
+    written."""
     memo = data._memo
     if memo.key is None:
         return
+    records = data.records.T.astype(_records_dtype(memo.schema))
     kept = list(memo.tables.values())
     variables = np.full((len(kept), max((len(names) for names, _ in kept), default=0)), -1, dtype=np.int64)
     for row, (names, _) in zip(variables, kept):
@@ -751,32 +704,48 @@ def store_counts(data: Dataset, out_dir: str | Path) -> None:
     counts = np.empty(memo.cells, dtype=np.min_scalar_type(data.n_records))
     np.concatenate([table.ravel() for _, table in kept] + [counts[:0]], out=counts, casting="unsafe")
 
-    def write(fh) -> None:
-        with zipfile.ZipFile(fh, "w") as archive:
-            for name, array in zip(_COUNTS_MEMBERS, (variables, counts)):
-                member = io.BytesIO()
-                np.lib.format.write_array(member, array, version=(1, 0), allow_pickle=False)
-                info = zipfile.ZipInfo(name)  # dated 1980-01-01, stored uncompressed
+    out_dir = Path(out_dir)
+    name = f"cache-{memo.key}-{_digest(records, variables, counts)}.npz"
+    final, temporary = out_dir / name, out_dir / f".{name}.{os.getpid()}.tmp"
+    try:
+        with zipfile.ZipFile(temporary, "w") as archive:
+            for member, array in zip(_CACHE_MEMBERS, (records, variables, counts)):
+                buffer = io.BytesIO()
+                np.lib.format.write_array(buffer, array, version=(1, 0), allow_pickle=False)
+                info = zipfile.ZipInfo(member)  # dated 1980-01-01, stored uncompressed
                 info.external_attr = 0o644 << 16
-                archive.writestr(info, member.getvalue())
+                archive.writestr(info, buffer.getvalue())
+        os.replace(temporary, final)
+        for old in out_dir.glob("cache-*.npz"):
+            if old != final:
+                old.unlink()
+    except OSError:
+        temporary.unlink(missing_ok=True)
 
-    _replace_file(Path(out_dir), _counts_name(memo.key, variables, counts), write, "counts-*.npz")
+
+def _records_dtype(schema: Schema) -> np.dtype:
+    return np.min_scalar_type(max(v.cardinality for v in schema.variables) - 1)
 
 
-def _read_counts(path: Path, data: Dataset) -> list[tuple[tuple[str, ...], np.ndarray]]:
-    """The (names, table) pairs of a counts file store_counts wrote for
-    data's records, in stored order, each table a view of the file's
-    counts; ValueError if it is not such a file."""
+def _read_cache(path: Path, schema: Schema, key: str) -> Dataset:
+    """The Dataset of a cache file store_cache wrote for the records key,
+    its tables kept in stored order; ValueError or DataError if it is not
+    such a file."""
     with zipfile.ZipFile(path) as archive:
-        if archive.namelist() != list(_COUNTS_MEMBERS):
-            raise ValueError("not a counts file")
-        variables, counts = (_stored_npy(archive, name) for name in _COUNTS_MEMBERS)
+        if archive.namelist() != list(_CACHE_MEMBERS):
+            raise ValueError("not a cache file")
+        records, variables, counts = (_stored_npy(archive, name) for name in _CACHE_MEMBERS)
+    if f"cache-{key}-{_digest(records, variables, counts)}.npz" != path.name:
+        raise ValueError("data that do not hash to the name")
+    if records.dtype != _records_dtype(schema):
+        raise ValueError("wrong records dtype")
+    data = Dataset(schema, records.T)  # checks the shape and every state
     memo, n = data._memo, data.n_records
+    memo.key = key
     if variables.dtype != np.int64 or variables.ndim != 2 or counts.dtype != np.min_scalar_type(n) or counts.ndim != 1:
         raise ValueError("wrong dtype or shape")
-    if counts.size > memo.limit or _counts_name(memo.key, variables, counts) != path.name:
-        raise ValueError("over the cells bound, or data that do not hash to the name")
-    schema = memo.schema
+    if counts.size > memo.limit:
+        raise ValueError("over the cells bound")
     width = (variables != -1).sum(axis=1)
     padding = np.arange(variables.shape[1]) >= width[:, None]
     if np.any(width == 0) or np.any((variables == -1) != padding) or np.any(variables < -1) or np.any(variables >= len(schema.names)):
@@ -793,12 +762,15 @@ def _read_counts(path: Path, data: Dataset) -> list[tuple[tuple[str, ...], np.nd
         tables.append((tuple(names_of[i] for i in index), counts[start : start + size].reshape([cards[i] for i in index])))
     if len({frozenset(names) for names, _ in tables}) != len(tables) or any(len(set(names)) != len(names) for names, _ in tables):
         raise ValueError("a set of variables named twice")
-    return tables
+    for names, table in tables:
+        memo.keep(names, table)
+    return data
 
 
 def _stored_npy(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """An uncompressed version-1.0 npy entry of archive, read only after its
-    header and size agree, so that a damaged header allocates nothing."""
+    """An uncompressed version-1.0 C-order npy entry of archive, read only
+    after its header and size agree, so that a damaged header allocates
+    nothing."""
     info = archive.getinfo(name)
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError("compressed entry")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayesnet import Cpt, Dag, FittedNetwork, family_counts, fit_conjugate, posterior_marginal, subtract_counts
+from .bayesnet import Cpt, Dag, FittedNetwork, fit_conjugate, posterior_marginal, subtract_counts
 from .dataset import Dataset, SplitPlan, numeric_state_values, write_rows
 from .structlearn import CandidateModel
 
@@ -74,14 +74,12 @@ class CvResult:
 def _training_fit(dag: Dag, data: Dataset, test: Dataset, alpha0: float) -> FittedNetwork:
     """fit_conjugate of dag on the rows of data outside test, a subset of
     them (the training rows of a split): each family's table on data, which
-    a run counts once (dataset.contingency_table), less its table on test.
-    Counts are exact integers, so this equals a fit on those rows bit for
-    bit, without copying them."""
+    a run counts once (dataset.contingency_table), less its table on test,
+    by subtract_counts with test as its one fold. Counts are exact integers,
+    so this equals a fit on those rows bit for bit, without copying them."""
     network = fit_conjugate(dag, data, alpha0)
-    cpts = {
-        node: Cpt(node, cpt.parent_order, cpt.alpha, cpt.counts - family_counts(test, node, cpt.parent_order))
-        for node, cpt in network.cpts.items()
-    }
+    counts = subtract_counts(network, test, np.zeros(test.n_records, dtype=np.int64))
+    cpts = {node: Cpt(node, cpt.parent_order, cpt.alpha, counts[node][0]) for node, cpt in network.cpts.items()}
     return FittedNetwork(network.dag, network.schema, cpts)
 
 

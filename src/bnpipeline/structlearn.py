@@ -8,6 +8,7 @@ lexicographically so results are stable across platforms.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -119,6 +120,19 @@ def _has_path(children: dict[str, set[str]], src: str, dst: str) -> bool:
         seen.add(node)
         stack.extend(children[node])
     return False
+
+
+def _acyclic(parents: dict[str, set[str]]) -> bool:
+    """Whether the graph of each node's parents holds no directed cycle:
+    the nodes with no parent left are removed, round after round, until
+    none is left (acyclic) or none can be (a cycle)."""
+    left = set(parents)
+    while left:
+        free = {node for node in left if not parents[node] & left}
+        if not free:
+            return False
+        left -= free
+    return True
 
 
 def _adjacency(nodes: Sequence[str], edges: Sequence[tuple[str, str]]) -> tuple[dict, dict]:
@@ -309,35 +323,26 @@ def bd_learn(
         dag, score = _search(data, local, cons, restarts=0, seed=0)
         return CandidateModel("bd", dag, {"algorithm": "bd_greedy", **prior, "final_score": score})
 
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    # each pair's edge in the enumeration's order (none, a -> b, b -> a),
+    # less those the constraints rule out
+    choices = []
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            edges = [e for e in ((a, b), (b, a)) if cons.requires(*e)] or [None, (a, b), (b, a)]
+            choices.append([e for e in edges if e is None or not cons.forbids(*e)])
     best_edges: tuple[tuple[str, str], ...] | None = None
     best_score = -np.inf
-    required = set(cons.whitelist)
-    for assignment in np.ndindex(*([3] * len(pairs))):
-        edges = []
-        ok = True
-        for code, (a, b) in zip(assignment, pairs):
-            if code == 1:
-                edges.append((a, b))
-            elif code == 2:
-                edges.append((b, a))
-        edge_set = set(edges)
-        if not required <= edge_set:
+    for assignment in itertools.product(*choices):
+        parents: dict[str, set[str]] = {node: set() for node in names}
+        for e in assignment:
+            if e is not None:
+                parents[e[1]].add(e[0])
+        if not _acyclic(parents):
             continue
-        for e in edges:
-            if cons.forbids(*e):
-                ok = False
-                break
-        if not ok:
-            continue
-        try:
-            Dag(names, tuple(edges))
-        except GraphError:
-            continue
-        score = sum(local(node, tuple(sorted(p for p, c in edges if c == node))) for node in names)
+        score = sum(local(node, tuple(sorted(parents[node]))) for node in names)
         if score > best_score:
             best_score = score
-            best_edges = tuple(sorted(edges))
+            best_edges = tuple(sorted(e for e in assignment if e is not None))
     if best_edges is None:
         raise ConstraintError("no DAG satisfies the constraints")
     return CandidateModel(

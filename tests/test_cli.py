@@ -353,72 +353,47 @@ class TestPipelinePhases:
             if p.is_file():
                 assert p.read_bytes() == first[p.name]
 
-    def test_records_cache_changes_no_output(self, workspace, monkeypatch):
-        # every phase once with the cache deleted before it, then every phase
-        # with the cache kept: one parse instead of five, and the same bytes
+    def test_cache_file_changes_no_output(self, tmp_path, monkeypatch):
+        # the six demo phases with the cache file deleted before each, then
+        # with it kept: one parse instead of five, the same bytes, and
+        # select's file in the second run only (report deleted it last in the
+        # first)
+        monkeypatch.chdir(DEMO.parent)
         ingest = dataset.ingest_csv
         parses = []
         monkeypatch.setattr(dataset, "ingest_csv", lambda *args: parses.append(args) or ingest(*args))
-        out = workspace / "out"
-        runs = []
-        for keep in (False, True):
-            shutil.rmtree(out, ignore_errors=True)
-            parses.clear()
-            for cmd in ("select", "learn", "compare", "cv", "fit-predict", "report"):
-                if not keep:
-                    for cached in out.glob("records-*.npy"):
-                        cached.unlink()
-                assert run(cmd, "--config", "pipeline.ini") == 0
-            files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-            runs.append((files, len(parses)))
-        (deleted, parsed_each_phase), (kept, parsed_once) = runs
-        assert (parsed_each_phase, parsed_once) == (5, 1)
-        cache = [name for name in kept if name.startswith("records-")]
-        assert len(cache) == 1 and cache[0] not in deleted  # report deleted it last
-        del kept[cache[0]]
-        assert deleted.keys() == kept.keys()
-        for name in deleted:
-            assert deleted[name] == kept[name], name
-
-    def test_damaged_records_cache_is_parsed_again(self, workspace):
-        assert run("select", "--config", "pipeline.ini") == 0
-        (cached,) = (workspace / "out").glob("records-*.npy")
-        good = cached.read_bytes()
-        cached.write_bytes(good[:-7])
-        assert run("learn", "--config", "pipeline.ini") == 0
-        assert cached.read_bytes() == good
-
-    def test_counts_cache_changes_no_output(self, tmp_path, monkeypatch):
-        # the six demo phases with the counts file deleted before each, then
-        # with it kept: the same bytes, and select's file in both
-        monkeypatch.chdir(DEMO.parent)
         out = tmp_path / "out"
         runs = []
         for keep in (False, True):
             shutil.rmtree(out, ignore_errors=True)
+            parses.clear()
             for cmd in PHASES:
                 if not keep:
-                    for cached in out.glob("counts-*.npz"):
+                    for cached in out.glob("cache-*.npz"):
                         cached.unlink()
                 assert run(cmd, "--config", "data/pipeline.ini", "--out", str(out)) == 0
-            runs.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
-        deleted, kept = runs
-        stored = [name for name in kept if name.startswith("counts-")]
-        assert len(stored) == 1 and not any(name.startswith("counts-") for name in deleted)
+            runs.append(({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}, len(parses)))
+        (deleted, parsed_each_phase), (kept, parsed_once) = runs
+        assert (parsed_each_phase, parsed_once) == (5, 1)
+        stored = [name for name in kept if name.startswith("cache-")]
+        assert len(stored) == 1 and not any(name.startswith(("cache-", "records-", "counts-")) for name in deleted)
+        assert not any(name.startswith(("records-", "counts-")) for name in kept)
         del kept[stored[0]]
         assert deleted.keys() == kept.keys()
         for name in deleted:
             assert deleted[name] == kept[name], name
 
-    def test_learn_and_compare_count_no_table_select_stored(self, workspace, monkeypatch):
+    def test_later_phases_parse_nothing_and_count_no_table_select_stored(self, workspace, monkeypatch):
         assert run("select", "--config", "pipeline.ini") == 0
-        (cached,) = (workspace / "out").glob("counts-*.npz")
+        (cached,) = (workspace / "out").glob("cache-*.npz")
         stored = stored_sets(cached, workspace / "tiny.schema")
         counted, served = record_counting(monkeypatch)
-        for cmd in ("learn", "compare"):
+        monkeypatch.setattr(dataset, "ingest_csv", lambda *args: pytest.fail("parsed after select"))
+        for cmd in ("learn", "compare", "cv", "fit-predict", "report"):
             assert run(cmd, "--config", "pipeline.ini") == 0
         assert len(stored) == 5 + 10 + 10 and served
         assert not any(names in stored for names in counted)
+        assert list((workspace / "out").glob("cache-*.npz")) == [cached]
 
     def test_select_counts_ten_five_state_variables_in_a_few_passes(self, workspace, monkeypatch):
         dag, schema, tables = benchmark_network()
@@ -436,42 +411,53 @@ class TestPipelinePhases:
         assert 0 < len(passes) <= 25
         assert len((workspace / "out" / "score_cmi.csv").read_text().splitlines()) == 1 + 3 * 120
 
-    @pytest.mark.parametrize("damage", ["truncated", "one count changed", "short of a record", "another key"])
-    def test_unusable_counts_file_is_counted_again(self, workspace, monkeypatch, damage):
+    @pytest.mark.parametrize("damage", [
+        "truncated", "one count changed", "short of a record", "another key", "records member changed",
+    ])
+    def test_unusable_cache_file_is_parsed_and_counted_again(self, workspace, monkeypatch, damage):
         assert run("select", "--config", "pipeline.ini") == 0
         out = workspace / "out"
-        (cached,) = out.glob("counts-*.npz")
+        (cached,) = out.glob("cache-*.npz")
         good = cached.read_bytes()
         stored = stored_sets(cached, workspace / "tiny.schema")
         selected = workspace / "selected"
         shutil.copytree(out, selected)
+        ingest = dataset.ingest_csv
         runs = []
         for damaged in (False, True):
             shutil.rmtree(out)
             shutil.copytree(selected, out)
             if damaged:
                 with np.load(cached, allow_pickle=False) as arrays:
-                    variables, counts = arrays["variables"], arrays["counts"].copy()
+                    records, variables, counts = arrays["records"].copy(), arrays["variables"], arrays["counts"].copy()
                 cached.unlink()
                 if damage == "truncated":
                     cached.write_bytes(good[:-7])
                 elif damage == "another key":
-                    cached.with_name(cached.name.replace("counts-", "counts-0", 1)).write_bytes(good)
+                    cached.with_name(cached.name.replace("cache-", "cache-0", 1)).write_bytes(good)
                 else:
-                    counts[0] -= 1  # kept under its name, or named after its new digest
+                    # kept under its name, or named after its new digest
+                    if damage == "records member changed":
+                        records[0, 0] = (records[0, 0] + 1) % 3  # another state of T, in range
+                    else:
+                        counts[0] -= 1
                     key = cached.name.split("-")[1]
-                    target = out / dataset._counts_name(key, variables, counts) if damage == "short of a record" else cached
-                    np.savez(target, variables=variables, counts=counts)
+                    digest = dataset._digest(records, variables, counts)
+                    target = out / f"cache-{key}-{digest}.npz" if damage == "short of a record" else cached
+                    np.savez(target, records=records, variables=variables, counts=counts)
             with monkeypatch.context() as patched:
                 counted, _ = record_counting(patched)
+                parses = []
+                patched.setattr(dataset, "ingest_csv", lambda *args: parses.append(args) or ingest(*args))
                 for cmd in ("learn", "compare", "cv", "fit-predict", "report"):
                     assert run(cmd, "--config", "pipeline.ini") == 0
             files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-            runs.append(({k: v for k, v in files.items() if not k.startswith("counts-")}, counted))
-        (intact, counted_intact), (damaged, counted_damaged) = runs
+            runs.append(({k: v for k, v in files.items() if not k.startswith("cache-")}, counted, len(parses)))
+        (intact, counted_intact, parsed_intact), (damaged, counted_damaged, parsed_damaged) = runs
         assert damaged.keys() == intact.keys()
         for name in intact:
             assert damaged[name] == intact[name], name
+        assert (parsed_intact, parsed_damaged) == (0, 1)  # learn parses and stores the records
         assert not any(names in stored for names in counted_intact)
         assert any(names in stored for names in counted_damaged)  # counted again
 

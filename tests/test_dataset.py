@@ -319,7 +319,7 @@ class TestContingencyStacks:
         ((6, 6, 6, 2, 2, 2), 30, None, None),  # smaller triples fit after larger ones did not
         ((4, 3, 2, 5, 2), 2_000, (3, 1, 4, 0, 2), (2, 0)),  # names permuted; one table already kept
     ])
-    def test_kept_tables_and_counts_file_equal_the_per_table_loop(self, tmp_path, cards, n, order, kept_first):
+    def test_kept_tables_and_cache_file_equal_the_per_table_loop(self, tmp_path, cards, n, order, kept_first):
         schema = Schema(tuple(
             VariableSpec(f"V{j}", tuple(str(k) for k in range(r)), "target" if j == 0 else "predictor")
             for j, r in enumerate(cards)
@@ -339,9 +339,9 @@ class TestContingencyStacks:
                     list(dataset.contingency_stacks(data, names))
             else:
                 reference_tables(data, names)
-            dataset.store_counts(data, out)
+            dataset.store_cache(data, out)
             kept = [(order, table.dtype, table.tobytes()) for order, table in data._memo.tables.values()]
-            (name,) = counts_files(out)
+            (name,) = cache_files(out)
             outcome.append((kept, name, (out / name).read_bytes()))
         assert outcome[0] == outcome[1]
         every = sum(math.prod(cards[schema.names.index(v)] for v in c) for w in (1, 2, 3) for c in itertools.combinations(names, w))
@@ -664,7 +664,37 @@ class TestIngest:
 
 
 def cache_files(out):
-    return sorted(p.name for p in out.glob("records-*.npy"))
+    return sorted(p.name for p in out.glob("cache-*.npz"))
+
+
+def cache_name(key, records, variables, counts):
+    """The name store_cache gives a cache file of these arrays, each hashed
+    in C order."""
+    arrays = (np.ascontiguousarray(a) for a in (records, variables, counts))
+    return f"cache-{key}-{dataset._digest(*arrays)}.npz"
+
+
+def cache_arrays(path):
+    """The records, variables and counts arrays of a cache file."""
+    with np.load(path, allow_pickle=False) as stored:
+        return stored["records"], stored["variables"], stored["counts"]
+
+
+def write_npz(path, *members, compress=False):
+    """An npz of (member name, array) pairs at path, a *.npz name, written
+    by numpy's savez."""
+    (np.savez_compressed if compress else np.savez)(path, **dict(members))
+
+
+def rezip(path, member, raw):
+    """Rewrite the cache file at path with the bytes of one member replaced
+    by raw, the other members as they were."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members[member] = raw
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
 
 
 def one_column(path, labels=("x", "y")):
@@ -674,6 +704,9 @@ def one_column(path, labels=("x", "y")):
 
 
 class TestRecordsCache:
+    """load_dataset parses a CSV once and keeps its records in the cache
+    file; a later call reads them from it."""
+
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(case=csv_cases())
     def test_hit_equals_parse(self, parity_dir, case):
@@ -702,8 +735,8 @@ class TestRecordsCache:
     def test_key_changes_with_each_input_and_stale_files_go(self, tmp_path):
         path, out = tmp_path / "d.csv", tmp_path / "out"
         out.mkdir()
-        (out / "records-0123abcd.npy").write_bytes(b"left by an earlier run")
-        (out / "records.txt").write_text("not a cache file", encoding="utf-8")
+        (out / "cache-0123abcd.npz").write_bytes(b"left by an earlier run")
+        (out / "cache.txt").write_text("not a cache file", encoding="utf-8")
         schema = one_column(path)
         seen = []
 
@@ -718,11 +751,11 @@ class TestRecordsCache:
         assert load().records.ravel().tolist() == [0, 0, 0]
         path.write_text("T\nx\ny\nx\n", encoding="utf-8")
         assert load(one_column(path, ("y", "x"))).records.ravel().tolist() == [1, 0, 1]
-        assert (out / "records.txt").is_file()
+        assert (out / "cache.txt").is_file()
 
     def test_demo_key_is_pinned(self):
-        # the name of every demo records and counts file: a change to what
-        # the key hashes renames them all
+        # the name of every demo cache file: a change to what the key hashes
+        # renames them all
         key = dataset._records_key(DEMO / "synthetic.csv", read_schema(DEMO / "synthetic.schema"))
         assert key == "d58cb1e20c22cd11b454af58367220207762aaea4bc574476eb7233173542ac4"
 
@@ -741,7 +774,7 @@ class TestRecordsCache:
             hit = load_dataset(path, schema, out)
         assert missed == plain and hit == plain
         (name,) = cache_files(out)  # the plain file's is replaced
-        assert name.startswith(f"records-{dataset._records_key(path, schema)}-")
+        assert name.startswith(f"cache-{dataset._records_key(path, schema)}-")
 
     def test_largest_state_index_sets_the_stored_dtype(self, tmp_path):
         for states, dtype in ((256, np.uint8), (257, np.uint16)):
@@ -750,62 +783,77 @@ class TestRecordsCache:
             out.mkdir()
             path.write_text(f"T\ns0\ns{states - 1}\n", encoding="utf-8")
             data = load_dataset(path, Schema((VariableSpec("T", labels, "target"),)), out)
-            stored = np.load(out / cache_files(out)[0], allow_pickle=False)
-            assert stored.dtype == dtype and np.array_equal(stored, data.records)
+            records, variables, counts = cache_arrays(out / cache_files(out)[0])
+            assert records.dtype == dtype and records.flags.c_contiguous and np.array_equal(records.T, data.records)
+            assert variables.shape == (0, 0) and counts.size == 0  # no tables yet
 
     @pytest.mark.parametrize("damage", [
-        "empty", "truncated header", "truncated data", "extra bytes", "more rows", "fewer rows",
-        "int64", "signed", "C order", "extra column", "out of range", "pickled", "npz", "directory",
+        "empty", "truncated header", "truncated data", "extra bytes", "more records", "fewer records",
+        "int64", "signed", "Fortran order", "extra variable", "out of range", "pickled", "npy", "directory",
     ])
     def test_unusable_file_is_a_miss_and_is_rewritten(self, tmp_path, damage):
+        # damages to the records member, or to the whole file; a member that
+        # numpy still reads is named after its digest, so that only the
+        # damage fails a check
         path, out = tmp_path / "d.csv", tmp_path / "out"
         out.mkdir()
         path.write_text("A,B\nx,y\nz,w\nz,y\n", encoding="utf-8")
         parsed = load_dataset(path, two_var_schema(), out)
-        cached = out / cache_files(out)[0]
+        (name,) = cache_files(out)
+        cached = out / name
         good = cached.read_bytes()
-        records = np.load(cached, allow_pickle=False)
+        records, variables, counts = cache_arrays(cached)
+        with zipfile.ZipFile(cached) as archive:
+            member = archive.read("records.npy")
 
         def saved(array, **kwargs):
             buffer = io.BytesIO()
             np.save(buffer, array, **kwargs)
             return buffer.getvalue()
 
-        header = good[: good.index(b"\n") + 1]
+        header = member[: member.index(b"\n") + 1]
         damaged = {
-            "empty": b"",
-            "truncated header": good[:20],
-            "truncated data": good[:-1],
-            "extra bytes": good + b"\0",
-            "more rows": header.replace(b"(3, 2)", b"(4, 2)") + good[len(header):],
-            "fewer rows": header.replace(b"(3, 2)", b"(2, 2)") + good[len(header):],
-            "int64": saved(records.astype(np.int64)),
-            "signed": saved(records.astype(np.int8)),
-            "C order": saved(np.ascontiguousarray(records)),
-            "extra column": saved(np.asfortranarray(np.column_stack([records, records[:, 0]]))),
-            "out of range": saved(np.asfortranarray(records + 1)),
-            "pickled": saved(records.astype(object), allow_pickle=True),
-            "npz": None,
-            "directory": None,
-        }[damage]
-        cached.unlink()
-        if damage == "npz":
-            np.savez(cached, records)
-            cached.with_name(cached.name + ".npz").rename(cached)
+            "truncated header": member[:20],
+            "truncated data": member[:-1],
+            "extra bytes": member + b"\0",
+            "more records": header.replace(b"(2, 3)", b"(2, 4)") + member[len(header):],
+            "fewer records": header.replace(b"(2, 3)", b"(2, 2)") + member[len(header):],
+        }
+        wrong = {
+            "int64": records.astype(np.int64),
+            "signed": records.astype(np.int8),
+            "Fortran order": np.asfortranarray(records),
+            "extra variable": np.vstack([records, records[:1]]),
+            "out of range": records + 1,
+        }
+        if damage in damaged:
+            rezip(cached, "records.npy", damaged[damage])
+        elif damage in wrong:
+            cached.unlink()
+            write_npz(out / cache_name(parsed._memo.key, wrong[damage], variables, counts),
+                      ("records", wrong[damage]), ("variables", variables), ("counts", counts))
+        elif damage == "pickled":
+            rezip(cached, "records.npy", saved(records.astype(object), allow_pickle=True))
+        elif damage == "npy":
+            cached.write_bytes(saved(records))
         elif damage == "directory":
+            cached.unlink()
             cached.mkdir()
         else:
-            cached.write_bytes(damaged)
-        assert load_dataset(path, two_var_schema(), out) == parsed
+            cached.write_bytes(b"")
+        assert len(cache_files(out)) == 1
+        with mock.patch.object(dataset, "ingest_csv", wraps=dataset.ingest_csv) as parse:
+            assert load_dataset(path, two_var_schema(), out) == parsed
+        assert parse.call_count == 1
         if damage == "directory":  # cannot be replaced: the parse is still returned
             assert cached.is_dir()
         else:
-            assert cached.read_bytes() == good
+            assert cache_files(out) == [name] and cached.read_bytes() == good
         assert not list(out.glob(".*.tmp"))
 
     def test_changed_in_range_state_is_a_miss(self, tmp_path):
-        # one data byte changed to another state of its variable keeps the
-        # size, dtype, layout and range; only the digest in the name tells
+        # one state changed to another state of its variable keeps the size,
+        # dtype, layout and range; only the digest in the name tells
         path, out = tmp_path / "d.csv", tmp_path / "out"
         out.mkdir()
         path.write_text("A,B\nx,y\nz,w\nz,y\n", encoding="utf-8")
@@ -813,8 +861,12 @@ class TestRecordsCache:
         load_dataset(path, two_var_schema(), out)
         (name,) = cache_files(out)
         good = (out / name).read_bytes()
-        assert good[-1] == 0  # B of the last row, y; w is state 1
-        (out / name).write_bytes(good[:-1] + b"\x01")
+        records = cache_arrays(out / name)[0].copy()
+        assert records[1, 2] == 0  # B of the last row, y; w is state 1
+        records[1, 2] = 1
+        buffer = io.BytesIO()
+        np.save(buffer, records)
+        rezip(out / name, "records.npy", buffer.getvalue())
         with mock.patch.object(dataset, "ingest_csv", wraps=dataset.ingest_csv) as parse:
             assert load_dataset(path, two_var_schema(), out) == parsed
         assert parse.call_count == 1
@@ -852,23 +904,14 @@ class TestRecordsCache:
         assert data.records.tolist() == [[0, 0]] and not (tmp_path / "missing").exists()
 
 
-def counts_files(out):
-    return sorted(p.name for p in out.glob("counts-*.npz"))
-
-
 def kept_tables(data):
     return [(order, table.tolist()) for order, table in data._memo.tables.values()]
 
 
-def write_npz(path, *members, compress=False):
-    """An npz of (member name, array) pairs at path, a *.npz name, written
-    by numpy's savez."""
-    (np.savez_compressed if compress else np.savez)(path, **dict(members))
-
-
 class TestCountsCache:
-    """store_counts writes the tables kept on a Dataset of load_dataset, and
-    load_dataset starts each later Dataset of the same records from them."""
+    """store_cache writes the tables kept on a Dataset of load_dataset with
+    its records, and load_dataset starts each later Dataset of the same
+    records from them."""
 
     def stored(self, tmp_path):
         path, out = tmp_path / "d.csv", tmp_path / "out"
@@ -877,45 +920,49 @@ class TestCountsCache:
         data = load_dataset(path, two_var_schema(), out)
         for names in (("B",), ("A",), ("A", "B")):  # 2 + 2 cells; the pair's 4 would pass 3 x 2
             contingency_table(data, names)
-        dataset.store_counts(data, out)
+        dataset.store_cache(data, out)
         return path, out, data
 
     def test_round_trip_keeps_order_and_bytes(self, tmp_path):
         path, out, data = self.stored(tmp_path)
-        (name,) = counts_files(out)
+        (name,) = cache_files(out)
         first = (out / name).read_bytes()
         assert kept_tables(data) == [(("B",), [2, 1]), (("A",), [1, 2])]
-        with mock.patch.object(dataset, "_count", side_effect=AssertionError("counted a stored table")):
+        with mock.patch.object(dataset, "_count", side_effect=AssertionError("counted a stored table")), \
+                mock.patch.object(dataset, "ingest_csv", side_effect=AssertionError("parsed on a hit")):
             loaded = load_dataset(path, two_var_schema(), out)
-            assert kept_tables(loaded) == kept_tables(data)
+            assert kept_tables(loaded) == kept_tables(data) and loaded == data
             assert contingency_table(loaded, ("A",)).tolist() == [1, 2]
-        with np.load(out / name, allow_pickle=False) as stored:
-            assert stored["variables"].tolist() == [[1], [0]]
-            assert stored["counts"].dtype == np.uint8 and stored["counts"].tolist() == [2, 1, 1, 2]
-        dataset.store_counts(loaded, out)  # the same tables, written again later
-        assert counts_files(out) == [name] and (out / name).read_bytes() == first
+        with zipfile.ZipFile(out / name) as archive:
+            assert archive.namelist() == ["records.npy", "variables.npy", "counts.npy"]
+        records, variables, counts = cache_arrays(out / name)
+        assert records.tolist() == [[0, 1, 1], [0, 1, 0]]
+        assert variables.tolist() == [[1], [0]]
+        assert counts.dtype == np.uint8 and counts.tolist() == [2, 1, 1, 2]
+        dataset.store_cache(loaded, out)  # the same records and tables, written again later
+        assert cache_files(out) == [name] and (out / name).read_bytes() == first
         assert not list(out.glob(".*.tmp"))
 
     def test_the_same_arrays_written_by_numpy_load(self, tmp_path):
         path, out, data = self.stored(tmp_path)
-        (name,) = counts_files(out)
-        with np.load(out / name, allow_pickle=False) as stored:
-            members = [("variables", stored["variables"]), ("counts", stored["counts"])]
+        (name,) = cache_files(out)
+        records, variables, counts = cache_arrays(out / name)
         (out / name).unlink()
-        write_npz(out / name, *members)
-        assert kept_tables(load_dataset(path, two_var_schema(), out)) == kept_tables(data)
+        write_npz(out / name, ("records", records), ("variables", variables), ("counts", counts))
+        with mock.patch.object(dataset, "ingest_csv", side_effect=AssertionError("parsed on a hit")):
+            assert kept_tables(load_dataset(path, two_var_schema(), out)) == kept_tables(data)
 
-    def test_other_counts_files_go_and_a_dataset_without_a_key_stores_nothing(self, tmp_path):
+    def test_other_cache_files_go_and_a_dataset_without_a_key_stores_nothing(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        (out / "counts-0123-4567.npz").write_bytes(b"left by an earlier run")
-        (out / "counts.txt").write_text("not a counts file", encoding="utf-8")
+        (out / "cache-0123-4567.npz").write_bytes(b"left by an earlier run")
+        (out / "cache.txt").write_text("not a cache file", encoding="utf-8")
         path, out, data = self.stored(tmp_path)
-        assert len(counts_files(out)) == 1 and (out / "counts.txt").is_file()
+        assert len(cache_files(out)) == 1 and (out / "cache.txt").is_file()
         plain = Dataset(data.schema, data.records)
         contingency_table(plain, ("A",))
-        dataset.store_counts(plain, tmp_path)
-        assert counts_files(tmp_path) == []
+        dataset.store_cache(plain, tmp_path)
+        assert cache_files(tmp_path) == []
 
     def test_a_file_of_other_records_is_not_read(self, tmp_path):
         path, out, data = self.stored(tmp_path)
@@ -924,7 +971,7 @@ class TestCountsCache:
 
     def test_zero_filled_file_of_the_right_name_and_length_counts_as_absent(self, tmp_path):
         path, out, data = self.stored(tmp_path)
-        (name,) = counts_files(out)
+        (name,) = cache_files(out)
         (out / name).write_bytes(bytes(len((out / name).read_bytes())))
         loaded = load_dataset(path, two_var_schema(), out)
         assert kept_tables(loaded) == []
@@ -938,12 +985,13 @@ class TestCountsCache:
         "a repeated name", "cells of no table", "past the cells bound",
     ])
     def test_unusable_file_counts_as_absent(self, tmp_path, damage):
+        # damages to the tables: the whole file is absent, so that the next
+        # call parses the CSV again and counts every table anew
         path, out, data = self.stored(tmp_path)
-        (name,) = counts_files(out)
+        (name,) = cache_files(out)
         target = out / name
         good = target.read_bytes()
-        with np.load(target, allow_pickle=False) as stored:
-            variables, counts = stored["variables"], stored["counts"]
+        records, variables, counts = cache_arrays(target)
         target.unlink()
         u8 = lambda *cells: np.array(cells, dtype=np.uint8)
         # arrays that fail one check each; the file is named after them, so
@@ -962,7 +1010,7 @@ class TestCountsCache:
         }
         if damage in wrong:
             v, c = wrong[damage]
-            write_npz(out / dataset._counts_name(data._memo.key, v, c), ("variables", v), ("counts", c))
+            write_npz(out / cache_name(data._memo.key, records, v, c), ("records", records), ("variables", v), ("counts", c))
         elif damage in ("empty", "truncated"):
             target.write_bytes(b"" if damage == "empty" else good[:-7])
         elif damage == "npy":
@@ -972,21 +1020,22 @@ class TestCountsCache:
             target.mkdir()
         elif damage == "pickled":
             with zipfile.ZipFile(target, "w") as archive:
-                for member, array in (("variables", variables), ("counts", counts.astype(object))):
+                for member, array in (("records", records), ("variables", variables), ("counts", counts.astype(object))):
                     buffer = io.BytesIO()
                     np.save(buffer, array, allow_pickle=True)
                     archive.writestr(f"{member}.npy", buffer.getvalue())
         else:
             members = {
-                "extra member": [("variables", variables), ("counts", counts), ("more", counts)],
-                "members swapped": [("counts", counts), ("variables", variables)],
-                "compressed": [("variables", variables), ("counts", counts)],
-                "one count changed": [("variables", variables), ("counts", u8(1, 2, 1, 2))],
+                "extra member": [("records", records), ("variables", variables), ("counts", counts), ("more", counts)],
+                "members swapped": [("records", records), ("counts", counts), ("variables", variables)],
+                "compressed": [("records", records), ("variables", variables), ("counts", counts)],
+                "one count changed": [("records", records), ("variables", variables), ("counts", u8(1, 2, 1, 2))],
             }[damage]
             write_npz(target, *members, compress=damage == "compressed")
-        assert len(counts_files(out)) == 1 or damage == "directory"
-        loaded = load_dataset(path, two_var_schema(), out)
-        assert kept_tables(loaded) == []
+        assert len(cache_files(out)) == 1
+        with mock.patch.object(dataset, "ingest_csv", wraps=dataset.ingest_csv) as parse:
+            loaded = load_dataset(path, two_var_schema(), out)
+        assert parse.call_count == 1 and kept_tables(loaded) == []
         for names in (("A",), ("B", "A")):
             assert contingency_table(loaded, names).tolist() == contingency_table(data, names).tolist()
 

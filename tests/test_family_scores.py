@@ -351,3 +351,21 @@ def test_perturbation_keeps_the_constraints_and_acyclicity(problem, seed):
     moved = set(start) ^ set(best)
     # each move adds, deletes or reverses one arc: at most two changed arcs
     assert len(moved) <= 2 * structlearn.PERTURB_MOVES
+
+
+# -- exhaustive bd ------------------------------------------------------------
+
+@pytest.mark.parametrize("constraints, prior", [
+    (EdgeConstraints(), {"alpha0": 1.0}),
+    (EdgeConstraints((("T", "X1"),), (("X2", "X3"), ("X4", "T"))), {"bdeu_ess": 4.0}),
+])
+def test_bd_enumeration_builds_one_dag_at_five_variables(monkeypatch, constraints, prior):
+    # acyclicity is tested on the edge list: the one Dag built is the answer
+    data = wide_tree_data(5, 100)
+    built = []
+    monkeypatch.setattr(structlearn, "Dag", lambda *args: built.append(args) or Dag(*args))
+    model = bd_learn(data, constraints, **prior)
+    assert len(built) == 1 and model.provenance["algorithm"] == "bd_exhaustive"
+    dag, score = reference_bd_learn(data, constraints, prior)
+    assert model.dag == dag
+    assert model.provenance["final_score"] == score
